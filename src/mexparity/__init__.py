@@ -32,7 +32,6 @@ from .partitions import (
     rank,
 )
 from .genfun import (
-    PttSeriesRequest,
     acore_mod2_series,
     acore_series,
     dissection_identity_check,

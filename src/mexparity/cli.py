@@ -157,9 +157,9 @@ def verify_cmd(suite: str, limit: int, fmt: str, out: str | None):
 def scan(t: int, modulus: int, limit: int, fmt: str, out: str | None):
     """Scan every residue class for all-even coefficients up to the limit.
 
-    Emits one claim per class: refuted with its first witness, or
-    verified-to-bound.  Scanning always exits 0; claims are evidence,
-    not proofs.
+    Emits one claim per class: refuted with its first witness,
+    verified-to-bound, or unchecked when the limit reaches no index of
+    the class.  Scanning always exits 0; claims are evidence, not proofs.
     """
     if limit < 2:
         raise click.UsageError("--limit must be at least 2")

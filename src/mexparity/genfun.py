@@ -15,12 +15,9 @@ live here as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .series import (
-    Domain,
-    INTEGERS,
     MOD2,
     TruncatedSeries,
     alternating_triangular,
@@ -31,7 +28,6 @@ from .series import (
 )
 
 __all__ = [
-    "PttSeriesRequest",
     "ptt_series",
     "ptt_mod2_series",
     "acore_series",
@@ -43,30 +39,6 @@ __all__ = [
 def _require_odd_t(t: int) -> None:
     if t < 1 or t % 2 == 0:
         raise ValueError(f"t must be an odd positive integer, got {t}")
-
-
-@dataclass(frozen=True)
-class PttSeriesRequest:
-    """A validated request for one mex-partition series.
-
-    Bundles the parameter t (odd, positive), the truncation order and the
-    coefficient domain; build() dispatches to the exact or the parity
-    pipeline accordingly.
-    """
-
-    t: int
-    order: int
-    domain: Domain = INTEGERS
-
-    def __post_init__(self):
-        _require_odd_t(self.t)
-        if self.order < 1:
-            raise ValueError("order must be >= 1")
-
-    def build(self) -> TruncatedSeries:
-        if self.domain is MOD2:
-            return ptt_mod2_series(self.t, self.order)
-        return ptt_series(self.t, self.order)
 
 
 @lru_cache(maxsize=64)

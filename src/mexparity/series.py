@@ -9,10 +9,13 @@ an error.
 
 Integer series are kept as coefficient tuples.  GF(2) series are kept as a
 single Python int used as a bitmask (bit n = coefficient of q^n), which is
-what lets the parity pipeline run at order 10^5: multiplication is either
-shift-XOR over the sparser operand or, for two dense operands, Kronecker
-substitution into one big-int multiply; reciprocals use Newton iteration,
-where squaring a GF(2) series is just a bit dilation.
+what lets the parity pipeline run at order 10^5.  Every product the
+package builds has a sparse factor (a pentagonal or triangular series or
+a dilation of one), so there is one multiplication route per domain:
+shift-XOR over the sparser operand for GF(2), a convolution over the
+nonzero terms for the integers.  Reciprocals use Newton iteration over
+GF(2), where squaring a series is just a bit dilation, and sparse
+back-substitution over the integers.
 
 The module also provides constructors for the classical series this
 package is built around: the Euler product (q^s;q^s)_inf and its powers,
@@ -226,20 +229,27 @@ def series_recip(a: TruncatedSeries) -> TruncatedSeries:
 def euler_product(step: int, power: int, order: int, domain: Domain = INTEGERS) -> TruncatedSeries:
     """The infinite product prod_{k>=1} (1 - q^(step*k)) raised to `power`.
 
-    The base product is built by multiplying out its binomial factors one
-    by one; every factor with step*k >= order is the identity inside the
-    truncation window, so the expansion is exact.  Positive powers are then
-    assembled by binary exponentiation and negative powers go through
-    series_recip.  power = 0 gives the identity series.
+    The base product is the pentagonal-number expansion (euler_pentagonal)
+    dilated by `step`, so it has O(sqrt(order/step)) nonzero terms.
+    Positive powers are then assembled by binary exponentiation, where
+    every GF(2) squaring is a dilation that stays sparse, and negative
+    powers go through series_recip.  power = 0 gives the identity series.
+    The literal product of binomial factors is kept out of this path; it
+    serves as the independent oracle of verify.verify_series_identities.
     """
     if step < 1:
         raise ValueError("step must be a positive integer")
     if order < 1:
         raise ValueError("order must be >= 1")
+    pent = euler_pentagonal((order + step - 1) // step)
+    terms = [(step * e, pent._data[e]) for e in nonzero_indices(pent)]
     if domain is MOD2:
-        base = TruncatedSeries._from_bits(_euler_base_bits(step, order), order)
+        base = TruncatedSeries._from_bits(sum(1 << e for e, _ in terms), order)
     else:
-        base = TruncatedSeries._from_tuple(_euler_base_ints(step, order), order)
+        c = [0] * order
+        for e, v in terms:
+            c[e] = v
+        base = TruncatedSeries._from_tuple(tuple(c), order)
     result = _series_pow(base, abs(power))
     if power < 0:
         result = series_recip(result)
@@ -251,7 +261,8 @@ def euler_pentagonal(order: int) -> TruncatedSeries:
 
     Sum over all integers n of (-1)^n q^(n(3n-1)/2); the exponents with
     n = k and n = -k are k(3k-1)/2 and k(3k+1)/2, both with sign (-1)^k.
-    Must agree with euler_product(1, 1, order) coefficientwise.
+    euler_product is built from this expansion; its agreement with the
+    literal product of binomial factors is checked by the identity suite.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -377,9 +388,6 @@ _SPREAD2 = tuple(
     for v in range(256)
 )
 
-# min popcount above which dense multiplication beats shift-XOR
-_GF2_SPARSE_CUTOFF = 512
-
 
 def _iter_bits(bits: int) -> Iterator[int]:
     offset = 0
@@ -406,47 +414,12 @@ def _gf2_mul(a: int, b: int, order: int) -> int:
         return 0
     if a == b:
         return _gf2_dilate(a) & mask
-    na = a.bit_count()
-    nb = b.bit_count()
-    if nb < na:
-        a, b, na, nb = b, a, nb, na
-    if na <= _GF2_SPARSE_CUTOFF:
-        acc = 0
-        for i in _iter_bits(a):
-            acc ^= b << i
-        return acc & mask
-    return _gf2_kron_mul(a, b, na, order) & mask
-
-
-@lru_cache(maxsize=8)
-def _spread_table(slot_bytes: int) -> tuple[bytes, ...]:
-    table = []
-    for v in range(256):
-        row = bytearray(8 * slot_bytes)
-        for b in _BYTE_BITS[v]:
-            row[b * slot_bytes] = 1
-        table.append(bytes(row))
-    return tuple(table)
-
-
-def _gf2_kron_mul(a: int, b: int, min_popcount: int, order: int) -> int:
-    # pack each bit into its own byte-aligned slot wide enough that no
-    # convolution column (sum <= min popcount) can carry into the next slot
-    slot_bytes = (min_popcount.bit_length() + 1 + 7) // 8
-    table = _spread_table(slot_bytes)
-
-    def spread(x: int) -> int:
-        raw = x.to_bytes((x.bit_length() + 7) // 8, "little")
-        return int.from_bytes(b"".join(table[c] for c in raw), "little")
-
-    product = spread(a) * spread(b)
-    raw = product.to_bytes(((product.bit_length() + 7) // 8) + slot_bytes, "little")
-    low_bytes = raw[0 : order * slot_bytes : slot_bytes]
-    out = bytearray((order + 7) // 8)
-    for i, byte in enumerate(low_bytes):
-        if byte & 1:
-            out[i >> 3] |= 1 << (i & 7)
-    return int.from_bytes(bytes(out), "little")
+    if b.bit_count() < a.bit_count():
+        a, b = b, a
+    acc = 0
+    for i in _iter_bits(a):
+        acc ^= b << i
+    return acc & mask
 
 
 def _gf2_recip(a: int, order: int) -> int:
@@ -460,24 +433,9 @@ def _gf2_recip(a: int, order: int) -> int:
     return x
 
 
-@lru_cache(maxsize=64)
-def _euler_base_bits(step: int, order: int) -> int:
-    # prod (1 + q^(step*k)) over GF(2), one binomial factor at a time
-    mask = (1 << order) - 1
-    x = 1
-    m = step
-    while m < order:
-        x = (x ^ (x << m)) & mask
-        m += step
-    return x
-
-
 # ---------------------------------------------------------------------------
 # integer kernels: a series is a tuple of Python ints
 # ---------------------------------------------------------------------------
-
-# max number of coefficient products before switching to Kronecker packing
-_INT_SPARSE_CUTOFF = 2_000_000
 
 
 def _int_mul(a: Sequence[int], b: Sequence[int], order: int) -> tuple[int, ...]:
@@ -487,49 +445,14 @@ def _int_mul(a: Sequence[int], b: Sequence[int], order: int) -> tuple[int, ...]:
         return (0,) * order
     if len(nzb) < len(nza):
         nza, nzb = nzb, nza
-    if len(nza) * len(nzb) <= _INT_SPARSE_CUTOFF:
-        acc = [0] * order
-        for i, av in nza:
-            for j, bv in nzb:
-                k = i + j
-                if k >= order:
-                    break
-                acc[k] += av * bv
-        return tuple(acc)
-    return _int_kron_mul(a[:order], b[:order], len(nza), order)
-
-
-def _int_kron_mul(a: Sequence[int], b: Sequence[int], min_nnz: int, order: int) -> tuple[int, ...]:
-    # Kronecker substitution: evaluate both polynomials at 2^slot and
-    # multiply as integers.  Slots are wide enough for any convolution
-    # column plus a sign bit, so adding half = 2^(slot-1) to every slot
-    # makes each digit of the shifted product land in [0, 2^slot).
-    max_a = max(abs(v) for v in a)
-    max_b = max(abs(v) for v in b)
-    bound = min_nnz * max_a * max_b
-    slot_bits = ((bound.bit_length() + 2 + 7) // 8) * 8
-    slot_bytes = slot_bits // 8
-    half = 1 << (slot_bits - 1)
-
-    def pack(xs: Sequence[int]) -> int:
-        pos = bytearray(len(xs) * slot_bytes)
-        neg = bytearray(len(xs) * slot_bytes)
-        for i, v in enumerate(xs):
-            if v > 0:
-                pos[i * slot_bytes : i * slot_bytes + slot_bytes] = v.to_bytes(slot_bytes, "little")
-            elif v < 0:
-                neg[i * slot_bytes : i * slot_bytes + slot_bytes] = (-v).to_bytes(slot_bytes, "little")
-        return int.from_bytes(bytes(pos), "little") - int.from_bytes(bytes(neg), "little")
-
-    n_slots = len(a) + len(b)
-    shifted = pack(a) * pack(b) + int.from_bytes(
-        half.to_bytes(slot_bytes, "little") * n_slots, "little"
-    )
-    raw = shifted.to_bytes(n_slots * slot_bytes + slot_bytes, "little")
-    return tuple(
-        int.from_bytes(raw[i * slot_bytes : (i + 1) * slot_bytes], "little") - half
-        for i in range(order)
-    )
+    acc = [0] * order
+    for i, av in nza:
+        for j, bv in nzb:
+            k = i + j
+            if k >= order:
+                break
+            acc[k] += av * bv
+    return tuple(acc)
 
 
 def _int_recip(a: Sequence[int], order: int) -> tuple[int, ...]:
@@ -547,20 +470,3 @@ def _int_recip(a: Sequence[int], order: int) -> tuple[int, ...]:
             s += v * r[n - k]
         r[n] = -s if c0 == 1 else s
     return tuple(r)
-
-
-@lru_cache(maxsize=64)
-def _euler_base_ints(step: int, order: int) -> tuple[int, ...]:
-    # multiply out (1 - q^(step*k)) factors in place; the partial product
-    # after k factors has degree at most step*k(k+1)/2, so early factors
-    # touch only a short prefix
-    c = [0] * order
-    c[0] = 1
-    degree = 0
-    m = step
-    while m < order:
-        degree = min(degree + m, order - 1)
-        for i in range(degree, m - 1, -1):
-            c[i] -= c[i - m]
-        m += step
-    return tuple(c)

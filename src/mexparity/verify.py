@@ -5,7 +5,8 @@ VerificationReport carrying the range, a pass flag and, on failure, the
 first counterexample.  Nothing here proves anything: a passing report
 means "no counterexample below the stated bound", full stop.  The
 scanner makes that explicit by emitting CongruenceClaim records that are
-either refuted (with a witness) or verified-to-bound.
+refuted (with a witness), verified-to-bound, or unchecked when the window
+held no index of the class.
 
 Index 0 is excluded from every congruence sweep: the weight-0 count is 1
 (the empty partition always qualifies), so its coefficient is odd for
@@ -30,11 +31,9 @@ from .partitions import (
 from .series import (
     TruncatedSeries,
     euler_pentagonal,
-    euler_product,
     jacobi_cube,
     nonzero_indices,
     series_mul,
-    series_recip,
     theta_psi,
 )
 
@@ -115,6 +114,8 @@ class CongruenceClaim:
     bound"; refuted claims carry the first witness n (in progression
     coordinates, i.e. the odd coefficient sits at modulus*witness +
     residue).  Verified claims are evidence up to the bound, never proofs.
+    A class whose window held no index >= 1 (checked_bound < 0, or < 1 for
+    residue 0, whose index 0 is excluded) is unchecked and not verified.
     """
 
     t: int
@@ -133,11 +134,15 @@ class CongruenceClaim:
 
     @property
     def verified(self) -> bool:
-        return self.witness is None
+        return self.status == "verified-to-bound"
 
     @property
     def status(self) -> str:
-        return "verified-to-bound" if self.witness is None else "refuted"
+        if self.witness is not None:
+            return "refuted"
+        if self.checked_bound < (1 if self.residue == 0 else 0):
+            return "unchecked"
+        return "verified-to-bound"
 
     def to_record(self) -> dict:
         return {
@@ -419,19 +424,48 @@ def _series_match_report(theorem_id: str, lhs: TruncatedSeries, rhs: TruncatedSe
     )
 
 
+def _literal_euler_product(step: int, order: int) -> TruncatedSeries:
+    # the literal product of the (1 - q^(step*k)) factors, multiplied out in
+    # place one factor at a time; the partial product after k factors has
+    # degree at most step*k(k+1)/2, so early factors touch only a short
+    # prefix.  Independent of the pentagonal form euler_product is built on.
+    c = [0] * order
+    c[0] = 1
+    degree = 0
+    m = step
+    while m < order:
+        degree = min(degree + m, order - 1)
+        for i in range(degree, m - 1, -1):
+            c[i] -= c[i - m]
+        m += step
+    return TruncatedSeries(c)
+
+
 def verify_series_identities(order: int) -> list[VerificationReport]:
     """Classical expansions vs the literal products, over the integers.
 
     The pentagonal-number sum against (q;q), the signed (2n+1)-weighted
-    triangular sum against (q;q)^3, and the triangular indicator psi
-    against (q^2;q^2)^2 / (q;q); each coefficientwise through `order`.
+    triangular sum against (q;q)^3, and the triangular indicator psi via
+    psi * (q;q) against (q^2;q^2)^2; each coefficientwise through `order`.
+    The products are multiplied out factor by factor, independently of
+    series.euler_product.
     """
-    euler = euler_product(1, 1, order)
-    psi_product = series_mul(euler_product(2, 2, order), series_recip(euler))
+    euler = _literal_euler_product(1, order)
+    euler2 = _literal_euler_product(2, order)
     return [
         _series_match_report("euler-pentagonal-identity", euler_pentagonal(order), euler, order),
-        _series_match_report("jacobi-cube-identity", jacobi_cube(order), euler_product(1, 3, order), order),
-        _series_match_report("theta-psi-identity", theta_psi(order), psi_product, order),
+        _series_match_report(
+            "jacobi-cube-identity",
+            jacobi_cube(order),
+            series_mul(euler, series_mul(euler, euler)),
+            order,
+        ),
+        _series_match_report(
+            "theta-psi-identity",
+            series_mul(theta_psi(order), euler),
+            series_mul(euler2, euler2),
+            order,
+        ),
     ]
 
 
@@ -452,8 +486,9 @@ def scan_congruences(t: int, modulus: int, bound: int) -> list[CongruenceClaim]:
 
     Returns one claim per residue j: refuted with the first witness n
     such that the coefficient at modulus*n + j is odd (index 0 excluded),
-    or verified-to-bound otherwise.  checked_bound is the largest n whose
-    index was inside the window.
+    unchecked when no index >= 1 of the class lies inside the window, or
+    verified-to-bound otherwise.  checked_bound is the largest n whose
+    index was inside the window (negative when there is none).
     """
     if modulus < 1:
         raise ValueError("modulus must be >= 1")

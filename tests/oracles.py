@@ -3,7 +3,8 @@
 These deliberately avoid the library's own algorithms: partition counts
 come from the classic coin-style dynamic program, products from naive
 schoolbook convolution, and the pentagonal predicate from an explicit
-search over k.
+search over k.  The Euler product is multiplied out one binomial
+factor at a time, independently of the pentagonal form the library uses.
 """
 
 from __future__ import annotations
@@ -29,6 +30,15 @@ def schoolbook_mul(a, b, order):
             if i + j >= order:
                 break
             out[i + j] += av * bv
+    return out
+
+
+def euler_product_by_factors(step: int, order: int) -> list[int]:
+    """prod_{k>=1} (1 - q^(step*k)) truncated at `order`, one binomial
+    factor at a time; factors with step*k >= order are 1 in the window."""
+    out = [1] + [0] * (order - 1)
+    for m in range(step, order, step):
+        out = schoolbook_mul(out, [1] + [0] * (m - 1) + [-1], order)
     return out
 
 

@@ -97,6 +97,12 @@ class TestScanCommand:
         verified = {c["residue"] for c in claims if c["status"] == "verified-to-bound"}
         assert {7, 9, 13} <= verified
 
+    def test_unchecked_classes_exit_zero(self):
+        result = run("scan", "--t", "5", "--modulus", "10", "--limit", "3", "--format", "jsonl")
+        assert result.exit_code == 0
+        statuses = [json.loads(line)["status"] for line in result.output.splitlines()]
+        assert statuses.count("unchecked") == 8
+
     def test_even_t_rejected(self):
         assert run("scan", "--t", "2", "--modulus", "4", "--limit", "100").exit_code == 2
 

@@ -1,7 +1,6 @@
 import pytest
 
 from mexparity.genfun import (
-    PttSeriesRequest,
     acore_mod2_series,
     acore_series,
     dissection_identity_check,
@@ -9,7 +8,7 @@ from mexparity.genfun import (
     ptt_series,
 )
 from mexparity.partitions import MexSpec, a_t_direct, p_direct
-from mexparity.series import INTEGERS, MOD2, reduce_mod2
+from mexparity.series import reduce_mod2
 
 
 class TestPttSeries:
@@ -120,16 +119,3 @@ class TestDissectionIdentity:
     def test_rejects_out_of_range_residue(self):
         with pytest.raises(ValueError):
             dissection_identity_check(5, 10, 10)
-
-
-class TestRequest:
-    def test_build_dispatches_on_domain(self):
-        assert PttSeriesRequest(3, 6).build() == ptt_series(3, 6)
-        assert PttSeriesRequest(3, 6, MOD2).build() == ptt_mod2_series(3, 6)
-        assert PttSeriesRequest(3, 6, INTEGERS).build().domain is INTEGERS
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PttSeriesRequest(2, 6)
-        with pytest.raises(ValueError):
-            PttSeriesRequest(3, 0)

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mexparity.series import (
+    INTEGERS,
     MOD2,
     TruncatedSeries,
     alternating_triangular,
@@ -14,10 +15,13 @@ from mexparity.series import (
     series_mul,
     series_recip,
     theta_psi,
-    _gf2_mul,
-    _int_kron_mul,
 )
-from oracles import gf2_schoolbook_mul, partition_counts, schoolbook_mul
+from oracles import (
+    euler_product_by_factors,
+    gf2_schoolbook_mul,
+    partition_counts,
+    schoolbook_mul,
+)
 
 int_series = st.lists(st.integers(min_value=-99, max_value=99), min_size=1, max_size=40).map(
     lambda cs: TruncatedSeries(cs)
@@ -93,26 +97,6 @@ class TestMul:
         order = min(a.order, b.order)
         assert series_mul(a, b).bits == gf2_schoolbook_mul(a.bits, b.bits, order)
 
-    def test_gf2_dense_path_matches_shift_xor(self):
-        # popcounts above the sparse cutoff force the Kronecker packing path
-        import random
-
-        rng = random.Random(20240)
-        order = 1400
-        a = sum(1 << i for i in range(order) if rng.random() < 0.8)
-        b = sum(1 << i for i in range(order) if rng.random() < 0.8)
-        assert min(a.bit_count(), b.bit_count()) > 512
-        assert _gf2_mul(a, b, order) == gf2_schoolbook_mul(a, b, order)
-
-    def test_int_kronecker_matches_schoolbook(self):
-        import random
-
-        rng = random.Random(77)
-        a = [rng.randint(-(10**30), 10**30) for _ in range(180)]
-        b = [rng.randint(-(10**6), 10**6) for _ in range(140)]
-        got = _int_kron_mul(tuple(a), tuple(b), 140, 180)
-        assert list(got) == schoolbook_mul(a, b, 180)
-
 
 class TestRecip:
     def test_partition_numbers(self):
@@ -175,6 +159,25 @@ class TestEulerProduct:
             expected = series_recip(expected)
         assert euler_product(1, power, 50) == expected
 
+    @pytest.mark.parametrize("order", [1, 2, 9, 64, 200])
+    @pytest.mark.parametrize("step", [1, 2, 3, 4, 5])
+    def test_matches_factor_by_factor_product(self, step, order):
+        base = euler_product_by_factors(step, order)
+        one = [1] + [0] * (order - 1)
+        expected = [one]
+        for _ in range(4):
+            expected.append(schoolbook_mul(expected[-1], base, order))
+        for power in range(-2, 5):
+            for domain in (INTEGERS, MOD2):
+                got = list(euler_product(step, power, order, domain).coeffs)
+                want = expected[power] if power >= 0 else one
+                if power < 0:
+                    # inverses are unique, so got * base^|power| == 1 pins got
+                    got = schoolbook_mul(got, expected[-power], order)
+                if domain is MOD2:
+                    got, want = [c & 1 for c in got], [c & 1 for c in want]
+                assert got == want, (power, domain)
+
     def test_mod2_domain_agrees_with_reduction(self):
         for step, power in [(1, 1), (1, 3), (2, 2), (3, 3), (1, -1), (5, -2)]:
             assert euler_product(step, power, 120, MOD2) == reduce_mod2(
@@ -194,7 +197,7 @@ class TestNamedSeries:
 
     @pytest.mark.parametrize("order", [1, 2, 5, 26, 77, 200])
     def test_pentagonal_equals_product(self, order):
-        assert euler_pentagonal(order) == euler_product(1, 1, order)
+        assert list(euler_pentagonal(order).coeffs) == euler_product_by_factors(1, order)
 
     def test_jacobi_small(self):
         assert jacobi_cube(7).coeffs == (1, -3, 0, 5, 0, 0, -7)

@@ -202,6 +202,15 @@ class TestScanner:
         assert claim.witness == 2  # count at weight 2 is the first odd one
         assert claim.checked_bound == 99
 
+    def test_classes_without_a_checked_index_are_unchecked(self):
+        # limit 3 reaches indices 1 and 2 only; residue 0 holds just the
+        # excluded index 0 and residues 3..9 hold no index at all
+        claims = scan_congruences(5, 10, 3)
+        unchecked = {c.residue for c in claims if c.status == "unchecked"}
+        assert unchecked == {0, 3, 4, 5, 6, 7, 8, 9}
+        assert not any(c.verified for c in claims if c.residue in unchecked)
+        assert {c.residue: c.checked_bound for c in claims}[0] == 0
+
     def test_refuted_witnesses_reproduce_under_enumeration(self):
         for claims, t in ((scan_congruences(3, 5, 2000), 3), (scan_congruences(1, 4, 2000), 1)):
             spec = MexSpec(t, t)
