@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import enum
 from functools import lru_cache
+from itertools import count, takewhile
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -79,13 +80,12 @@ class TruncatedSeries:
         object.__setattr__(self, "order", len(data))
         object.__setattr__(self, "domain", domain)
         if domain is MOD2:
-            bits = 0
             for i, c in enumerate(data):
                 if c not in (0, 1):
                     raise ValueError(
                         f"Mod2 coefficients must be 0 or 1, got {c} at q^{i}"
                     )
-                bits |= c << i
+            bits = _bits_of((i for i, c in enumerate(data) if c), len(data))
             object.__setattr__(self, "_data", bits)
         else:
             object.__setattr__(self, "_data", data)
@@ -146,12 +146,8 @@ class TruncatedSeries:
         """All stored coefficients, q^0 first."""
         if self.domain is MOD2:
             out = [0] * self.order
-            offset = 0
-            for byte in self._data.to_bytes((self.order + 7) // 8, "little"):
-                if byte:
-                    for b in _BYTE_BITS[byte]:
-                        out[offset + b] = 1
-                offset += 8
+            for i in _iter_bits(self._data):
+                out[i] = 1
             return tuple(out)
         return self._data
 
@@ -229,8 +225,9 @@ def series_recip(a: TruncatedSeries) -> TruncatedSeries:
 def euler_product(step: int, power: int, order: int, domain: Domain = INTEGERS) -> TruncatedSeries:
     """The infinite product prod_{k>=1} (1 - q^(step*k)) raised to `power`.
 
-    The base product is the pentagonal-number expansion (euler_pentagonal)
-    dilated by `step`, so it has O(sqrt(order/step)) nonzero terms.
+    The base product is the pentagonal-number expansion (the terms of
+    euler_pentagonal) dilated by `step`, so it has O(sqrt(order/step))
+    nonzero terms; over GF(2) their bits are set directly.
     Positive powers are then assembled by binary exponentiation, where
     every GF(2) squaring is a dilation that stays sparse, and negative
     powers go through series_recip.  power = 0 gives the identity series.
@@ -239,17 +236,7 @@ def euler_product(step: int, power: int, order: int, domain: Domain = INTEGERS) 
     """
     if step < 1:
         raise ValueError("step must be a positive integer")
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    pent = euler_pentagonal((order + step - 1) // step)
-    terms = [(step * e, pent._data[e]) for e in nonzero_indices(pent)]
-    if domain is MOD2:
-        base = TruncatedSeries._from_bits(sum(1 << e for e, _ in terms), order)
-    else:
-        c = [0] * order
-        for e, v in terms:
-            c[e] = v
-        base = TruncatedSeries._from_tuple(tuple(c), order)
+    base = _from_terms(((step * e, c) for e, c in _pentagonal_terms()), order, domain)
     result = _series_pow(base, abs(power))
     if power < 0:
         result = series_recip(result)
@@ -264,45 +251,21 @@ def euler_pentagonal(order: int) -> TruncatedSeries:
     euler_product is built from this expansion; its agreement with the
     literal product of binomial factors is checked by the identity suite.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    c = [0] * order
-    c[0] = 1
-    k = 1
-    while k * (3 * k - 1) // 2 < order:
-        sign = -1 if k & 1 else 1
-        c[k * (3 * k - 1) // 2] = sign
-        e = k * (3 * k + 1) // 2
-        if e < order:
-            c[e] = sign
-        k += 1
-    return TruncatedSeries._from_tuple(tuple(c), order)
+    return _from_terms(_pentagonal_terms(), order)
 
 
 def jacobi_cube(order: int) -> TruncatedSeries:
     """Jacobi's expansion of (q;q)_inf^3: sum of (-1)^n (2n+1) q^(n(n+1)/2)."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    c = [0] * order
-    n = 0
-    while n * (n + 1) // 2 < order:
-        c[n * (n + 1) // 2] = (2 * n + 1) * (-1 if n & 1 else 1)
-        n += 1
-    return TruncatedSeries._from_tuple(tuple(c), order)
+    terms = ((n * (n + 1) // 2, (2 * n + 1) * (-1 if n & 1 else 1)) for n in count())
+    return _from_terms(terms, order)
 
 
 def alternating_triangular(t: int, order: int) -> TruncatedSeries:
     """The alternating sum of (-1)^n q^(t*n(n+1)/2) over n >= 0."""
     if t < 1:
         raise ValueError("t must be a positive integer")
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    c = [0] * order
-    n = 0
-    while t * n * (n + 1) // 2 < order:
-        c[t * n * (n + 1) // 2] = -1 if n & 1 else 1
-        n += 1
-    return TruncatedSeries._from_tuple(tuple(c), order)
+    terms = ((t * n * (n + 1) // 2, -1 if n & 1 else 1) for n in count())
+    return _from_terms(terms, order)
 
 
 def theta_psi(order: int) -> TruncatedSeries:
@@ -311,13 +274,33 @@ def theta_psi(order: int) -> TruncatedSeries:
     The indicator series of the triangular numbers; as a product it equals
     (q^2;q^2)_inf^2 / (q;q)_inf, which is checked by the identity suite.
     """
+    return _from_terms(((n * (n + 1) // 2, 1) for n in count()), order)
+
+
+def _pentagonal_terms() -> Iterator[tuple[int, int]]:
+    # (exponent, coefficient) of (q;q)_inf, exponents increasing
+    yield 0, 1
+    for k in count(1):
+        sign = -1 if k & 1 else 1
+        yield k * (3 * k - 1) // 2, sign
+        yield k * (3 * k + 1) // 2, sign
+
+
+def _from_terms(
+    terms: Iterable[tuple[int, int]], order: int, domain: Domain = INTEGERS
+) -> TruncatedSeries:
+    # the series with the given (exponent, coefficient) terms; exponents must
+    # increase, and the first one at or past `order` ends the (possibly
+    # infinite) stream
     if order < 1:
         raise ValueError("order must be >= 1")
+    window = list(takewhile(lambda term: term[0] < order, terms))
+    if domain is MOD2:
+        bits = _bits_of((e for e, c in window if c & 1), order)
+        return TruncatedSeries._from_bits(bits, order)
     c = [0] * order
-    n = 0
-    while n * (n + 1) // 2 < order:
-        c[n * (n + 1) // 2] = 1
-        n += 1
+    for e, v in window:
+        c[e] = v
     return TruncatedSeries._from_tuple(tuple(c), order)
 
 
@@ -339,12 +322,12 @@ def dissect(s: TruncatedSeries, modulus: int, residue: int) -> TruncatedSeries:
             f"progression {modulus}n + {residue}"
         )
     if s.domain is MOD2:
-        out = bytearray((new_order + 7) // 8)
-        for i in _iter_bits(s._data):
-            if i >= residue and (i - residue) % modulus == 0:
-                j = (i - residue) // modulus
-                out[j >> 3] |= 1 << (j & 7)
-        return TruncatedSeries._from_bits(int.from_bytes(bytes(out), "little"), new_order)
+        picked = (
+            (i - residue) // modulus
+            for i in _iter_bits(s._data)
+            if i >= residue and (i - residue) % modulus == 0
+        )
+        return TruncatedSeries._from_bits(_bits_of(picked, new_order), new_order)
     return TruncatedSeries._from_tuple(s._data[residue::modulus], new_order)
 
 
@@ -352,11 +335,8 @@ def reduce_mod2(s: TruncatedSeries) -> TruncatedSeries:
     """Reduce an integer series coefficientwise modulo 2."""
     if s.domain is not INTEGERS:
         raise ValueError("reduce_mod2 expects an Integers-domain series")
-    out = bytearray((s.order + 7) // 8)
-    for i, c in enumerate(s._data):
-        if c & 1:
-            out[i >> 3] |= 1 << (i & 7)
-    return TruncatedSeries._from_bits(int.from_bytes(bytes(out), "little"), s.order)
+    bits = _bits_of((i for i, c in enumerate(s._data) if c & 1), s.order)
+    return TruncatedSeries._from_bits(bits, s.order)
 
 
 def _series_pow(base: TruncatedSeries, exponent: int) -> TruncatedSeries:
@@ -387,6 +367,14 @@ _SPREAD2 = tuple(
     sum(((v >> b) & 1) << (2 * b) for b in range(8)).to_bytes(2, "little")
     for v in range(256)
 )
+
+
+def _bits_of(indices: Iterable[int], order: int) -> int:
+    # bitmask with exactly the given bits set; each index must be < order
+    out = bytearray((order + 7) // 8)
+    for i in indices:
+        out[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(out, "little")
 
 
 def _iter_bits(bits: int) -> Iterator[int]:

@@ -178,11 +178,13 @@ class TestEulerProduct:
                     got, want = [c & 1 for c in got], [c & 1 for c in want]
                 assert got == want, (power, domain)
 
-    def test_mod2_domain_agrees_with_reduction(self):
-        for step, power in [(1, 1), (1, 3), (2, 2), (3, 3), (1, -1), (5, -2)]:
-            assert euler_product(step, power, 120, MOD2) == reduce_mod2(
-                euler_product(step, power, 120)
-            )
+    @given(st.integers(1, 300))
+    def test_mod2_domain_agrees_with_reduction(self, order):
+        for step in range(1, 6):
+            for power in range(-2, 5):
+                assert euler_product(step, power, order, MOD2) == reduce_mod2(
+                    euler_product(step, power, order)
+                ), (step, power)
 
 
 class TestNamedSeries:

@@ -1,8 +1,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from mexparity import verify
 from mexparity.genfun import ptt_mod2_series
 from mexparity.partitions import EnumerationLimitError, MexSpec, p_direct
+from mexparity.series import MOD2, TruncatedSeries
 from mexparity.verify import (
     CongruenceClaim,
     DEFAULT_QNR_PRIMES,
@@ -26,6 +28,27 @@ from mexparity.verify import (
     verify_theorem6,
 )
 from oracles import pent_type_by_search
+
+CHECKERS = {
+    "p11": lambda bound: verify_characterization("p11", bound),
+    "p33": lambda bound: verify_characterization("p33", bound),
+    "odd-progression": verify_odd_progression,
+    "qnr": lambda bound: verify_qnr_families("p11", DEFAULT_QNR_PRIMES, bound),
+    "power4": lambda bound: verify_power4_families(2, bound),
+    "theorem6": verify_theorem6,
+    "tcore": verify_tcore_congruences,
+}
+
+
+def planted(odd_by_t):
+    """Stand-in for a parity series function: odd exactly at the listed
+    indices of odd_by_t[t], even everywhere for other t."""
+
+    def series(t, order):
+        odd = odd_by_t.get(t, ())
+        return TruncatedSeries([1 if n in odd else 0 for n in range(order)], MOD2)
+
+    return series
 
 
 class TestPredicates:
@@ -162,6 +185,56 @@ class TestProgressionFamilies:
         assert verify_tcore_congruences(2500).passed
 
 
+class TestSweepContract:
+    @pytest.mark.parametrize("name", sorted(CHECKERS))
+    def test_bound_below_two_is_rejected(self, name):
+        # the window 1 <= n < 1 checks nothing and must not pass
+        with pytest.raises(ValueError):
+            CHECKERS[name](1)
+
+    def test_characterization_reports_lowest_mismatch(self, monkeypatch):
+        # predicate for t = 1 below 100: n in {2, 4, 10, 14, 24, ...}
+        monkeypatch.setattr(verify, "ptt_mod2_series", planted({1: {0, 2, 3, 4, 10}}))
+        report = verify_characterization("p11", 100)
+        assert (report.counterexample, report.detail) == (3, "parity 1 but predicate says False")
+        monkeypatch.setattr(verify, "ptt_mod2_series", planted({1: {0, 2, 4, 10}}))
+        report = verify_characterization("p11", 100)
+        assert (report.counterexample, report.detail) == (14, "parity 0 but predicate says True")
+
+    def test_odd_progression_reports_smallest_odd_index(self, monkeypatch):
+        monkeypatch.setattr(verify, "ptt_mod2_series", planted({1: {0, 2, 9, 5}}))
+        report = verify_odd_progression(100)
+        assert (report.counterexample, report.detail) == (5, "odd count at odd index")
+
+    def test_qnr_reports_smallest_index_of_first_failing_prime(self, monkeypatch):
+        # p11 non-residue classes: 1, 3 mod 5 and 1, 5, 6 mod 7; 5 is smaller
+        # but lies only in a class mod 7, and 5 is checked first
+        monkeypatch.setattr(verify, "ptt_mod2_series", planted({1: {0, 2, 5, 13, 11}}))
+        report = verify_qnr_families("p11", (7, 5), 100)
+        assert (report.counterexample, report.detail) == (11, "odd count at index 11 = 5n + 1")
+
+    def test_power4_reports_smallest_index_of_first_failing_family(self, monkeypatch):
+        # families in order: 4n+2, 4n+3, 8n+4, then 16n+9, 16n+13, 32n+17;
+        # 13 lies in a later family than 25 = 16 + 9
+        monkeypatch.setattr(verify, "ptt_mod2_series", planted({3: {0, 1, 13, 25, 41}}))
+        report = verify_power4_families(1, 100)
+        assert report.counterexample == 25
+        assert report.detail == "odd count at index 25 = 16n + 9 (m=1)"
+
+    def test_theorem6_reports_first_counterexample(self, monkeypatch):
+        # t = 5 lists residues (2, 6) mod 10: 12 = 10 + 2 comes first in the
+        # list, 6 = 0 + 6 is the first counterexample
+        monkeypatch.setattr(verify, "ptt_mod2_series", planted({5: {0, 6, 12}}))
+        report = verify_theorem6(100)
+        assert (report.counterexample, report.detail) == (6, "odd count at index 6 = 10n + 6 (t=5)")
+
+    def test_tcore_reports_first_counterexample(self, monkeypatch):
+        monkeypatch.setattr(verify, "acore_mod2_series", planted({7: {0, 23, 13}}))
+        report = verify_tcore_congruences(100)
+        assert report.counterexample == 13
+        assert report.detail == "odd t-core count at index 13 = 14n + 13 (t=7)"
+
+
 class TestIdentitySuites:
     def test_series_identities(self):
         reports = verify_series_identities(500)
@@ -227,6 +300,25 @@ class TestScanner:
             refuted = {c.residue for c in claims if not c.verified}
             assert not refuted & set(residues)
 
+    @given(st.sampled_from(range(1, 24, 2)), st.integers(1, 40), st.integers(2, 600))
+    def test_matches_direct_walk(self, t, modulus, bound):
+        coeffs = ptt_mod2_series(t, bound).coeffs
+        claims = scan_congruences(t, modulus, bound)
+        assert [c.residue for c in claims] == list(range(modulus))
+        for claim in claims:
+            j = claim.residue
+            window = range(j, bound, modulus)
+            odd = [n for n in window if n >= 1 and coeffs[n]]
+            first = None if claim.witness is None else modulus * claim.witness + j
+            assert first == (odd[0] if odd else None)
+            assert claim.checked_bound == len(window) - 1
+            if odd:
+                assert claim.status == "refuted"
+            elif any(n >= 1 for n in window):
+                assert claim.status == "verified-to-bound"
+            else:
+                assert claim.status == "unchecked"
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             scan_congruences(2, 4, 100)
@@ -246,6 +338,24 @@ class TestSuiteRunner:
         assert len(reports) == 1
         assert reports[0].passed
         assert "45" in reports[0].range
+
+    def test_identity_order_is_clamped(self, monkeypatch):
+        orders = []
+
+        def identities(order):
+            orders.append(order)
+            return [VerificationReport("identity", f"0 <= n < {order}", True)]
+
+        monkeypatch.setattr(verify, "verify_series_identities", identities)
+        monkeypatch.setattr(
+            verify, "verify_dissection_identities", lambda ts, order: identities(order)[0]
+        )
+        reports = run_suite("identities", 100_000)
+        assert orders == [10**4, 500]
+        assert reports[0].range == "0 <= n < 10000"
+        orders.clear()
+        run_suite("identities", 5000)
+        assert orders == [5000, 500]
 
     def test_all_suite_composition(self):
         reports = run_suite("all", 300)
