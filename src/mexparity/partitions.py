@@ -6,8 +6,10 @@ oracles for the series pipeline.  A partition is represented as a tuple of
 weakly decreasing positive parts; the empty tuple is the unique partition
 of 0.
 
-Enumeration is deliberately capped (see ENUMERATION_CEILING): p(45) is
-89,134 partitions and the full sweep up to 45 is a few seconds of work,
+Enumeration is an iterative generator (ZS1) that rewrites one list in
+place, with no recursion.  It is deliberately capped (see
+ENUMERATION_CEILING): p(45) is 89,134 partitions and generating every
+partition of every n up to 45 (540,634 in all) takes well under a second,
 but the count grows subexponentially and silently accepting much larger
 weights would hang the caller.  Past the ceiling an EnumerationLimitError
 is raised instead.
@@ -57,6 +59,10 @@ class MexSpec:
         if not 1 <= self.a <= self.A:
             raise ValueError(f"need 1 <= a <= A, got a={self.a}, A={self.A}")
 
+    def counts(self, parts: Sequence[int]) -> bool:
+        """True when mex_{A,a}(parts) is congruent to a mod 2A."""
+        return (mex(parts, self) - self.a) % (2 * self.A) == 0
+
 
 def enumerate_partitions(n: int) -> Iterator[tuple[int, ...]]:
     """Yield every partition of n exactly once.
@@ -71,18 +77,43 @@ def enumerate_partitions(n: int) -> Iterator[tuple[int, ...]]:
         raise EnumerationLimitError(
             f"enumeration of p({n}) partitions exceeds the ceiling n <= {ENUMERATION_CEILING}"
         )
-    return _descending_partitions(n, n, [])
+    return _descending_partitions(n)
 
 
-def _descending_partitions(remaining: int, cap: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
-    if remaining == 0:
-        yield tuple(acc)
+def _descending_partitions(n: int) -> Iterator[tuple[int, ...]]:
+    # ZS1 (Zoghbi & Stojmenovic, Int. J. Comput. Math. 70, 1998): x[:m] is
+    # the current partition, x[h] its last part > 1 and every x[i] with
+    # i > h is 1.  The successor lowers x[h] by one and refills the tail
+    # with as many copies of that value as fit, then the remainder.
+    if n == 0:
+        yield ()
         return
-    top = cap if cap < remaining else remaining
-    for part in range(top, 0, -1):
-        acc.append(part)
-        yield from _descending_partitions(remaining - part, part, acc)
-        acc.pop()
+    x = [1] * n
+    x[0] = n
+    m = 1
+    h = 0
+    yield (n,)
+    while x[0] != 1:
+        if x[h] == 2:
+            x[h] = 1
+            h -= 1
+            m += 1
+        else:
+            r = x[h] - 1
+            t = m - h
+            x[h] = r
+            while t >= r:
+                h += 1
+                x[h] = r
+                t -= r
+            if t == 0:
+                m = h + 1
+            else:
+                m = h + 2
+                if t > 1:
+                    h += 1
+                    x[h] = t
+        yield tuple(x[:m])
 
 
 def mex(parts: Sequence[int], spec: MexSpec) -> int:
@@ -100,10 +131,7 @@ def p_direct(spec: MexSpec, n: int) -> int:
     Pure enumeration; this is the ground truth the generating-function
     coefficients are checked against.
     """
-    step = 2 * spec.A
-    return sum(
-        1 for parts in enumerate_partitions(n) if (mex(parts, spec) - spec.a) % step == 0
-    )
+    return sum(1 for parts in enumerate_partitions(n) if spec.counts(parts))
 
 
 def rank(parts: Sequence[int]) -> int:
@@ -117,14 +145,21 @@ def crank(parts: Sequence[int]) -> int:
     """Andrews-Garvan crank.
 
     With w the number of 1s: the largest part when w = 0, otherwise
-    (number of parts greater than w) - w.
+    (number of parts greater than w) - w.  Like rank, this relies on the
+    parts being weakly decreasing: the largest part is parts[0], and the
+    parts greater than w form a prefix, so the count stops at the first
+    part <= w.
     """
     if not parts:
         raise ValueError("crank of the empty partition is undefined")
-    ones = sum(1 for p in parts if p == 1)
+    ones = parts.count(1)
     if ones == 0:
         return parts[0]
-    bigger = sum(1 for p in parts if p > ones)
+    bigger = 0
+    for p in parts:
+        if p <= ones:
+            break
+        bigger += 1
     return bigger - ones
 
 

@@ -30,7 +30,6 @@ from .partitions import (
     MexSpec,
     crank,
     enumerate_partitions,
-    p_direct,
     rank,
 )
 from .series import (
@@ -250,10 +249,11 @@ def _checked_bound(bound: int) -> int:
     return bound
 
 
-def _first_odd_by_residue(s: TruncatedSeries, modulus: int) -> dict[int, int]:
-    # first index >= 1 with an odd coefficient in each class mod `modulus`
+def _first_odd_by_residue(odd: Iterable[int], modulus: int) -> dict[int, int]:
+    # first index >= 1 of the increasing odd-coefficient indices `odd` in
+    # each class mod `modulus`
     found: dict[int, int] = {}
-    for idx in nonzero_indices(s):
+    for idx in odd:
         if idx == 0:
             continue
         r = idx % modulus
@@ -264,9 +264,9 @@ def _first_odd_by_residue(s: TruncatedSeries, modulus: int) -> dict[int, int]:
     return found
 
 
-def _first_odd(s: TruncatedSeries, modulus: int, residues: Iterable[int]) -> int | None:
-    # smallest index >= 1 with an odd coefficient in any of the listed classes
-    profile = _first_odd_by_residue(s, modulus)
+def _first_odd(odd: Iterable[int], modulus: int, residues: Iterable[int]) -> int | None:
+    # smallest index >= 1 of `odd` in any of the listed classes
+    profile = _first_odd_by_residue(odd, modulus)
     return min((profile[r] for r in residues if r in profile), default=None)
 
 
@@ -277,10 +277,10 @@ def _report(theorem_id: str, rng: str, witness: int | None, detail: str) -> Veri
 
 
 def _sweep(theorem_id: str, rng: str, families: Iterable, what: str = "") -> VerificationReport:
-    # families yields (series, modulus, residues, note) in check order; a
-    # failure names the smallest odd index of the first family that has one
-    for s, modulus, residues, note in families:
-        n = _first_odd(s, modulus, residues)
+    # families yields (odd indices, modulus, residues, note) in check order;
+    # a failure names the smallest odd index of the first family that has one
+    for odd, modulus, residues, note in families:
+        n = _first_odd(odd, modulus, residues)
         if n is not None:
             where = f"{modulus}n + {n % modulus}{note}"
             return _report(theorem_id, rng, n, f"odd {what}count at index {n} = {where}")
@@ -308,12 +308,31 @@ def verify_characterization(which: str, bound: int) -> VerificationReport:
     return _report(f"{which}-characterization", rng, n, detail)
 
 
+def _crank_rank_tallies(n: int) -> tuple[int, int, int, int]:
+    # one pass over the partitions of n: how many have crank >= 0, mex_{1,1}
+    # in its counted class, rank >= -1 and mex_{3,3} in its counted class
+    spec11 = MexSpec(1, 1)
+    spec33 = MexSpec(3, 3)
+    crank_count = mex11_count = rank_count = mex33_count = 0
+    for parts in enumerate_partitions(n):
+        if crank(parts) >= 0:
+            crank_count += 1
+        if spec11.counts(parts):
+            mex11_count += 1
+        if rank(parts) >= -1:
+            rank_count += 1
+        if spec33.counts(parts):
+            mex33_count += 1
+    return crank_count, mex11_count, rank_count, mex33_count
+
+
 def verify_crank_rank(bound: int) -> VerificationReport:
     """Check the two enumeration equivalences by brute force.
 
     For every 1 <= n <= bound: the mex count for (1,1) equals the number
     of partitions of n with crank >= 0, and the mex count for (3,3)
-    equals the number with rank >= -1.
+    equals the number with rank >= -1.  Each partition of n is
+    enumerated once and all four statistics are tallied in that pass.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -321,22 +340,14 @@ def verify_crank_rank(bound: int) -> VerificationReport:
         raise EnumerationLimitError(
             f"crank/rank verification enumerates all partitions; bound must be <= {ENUMERATION_CEILING}"
         )
-    spec11 = MexSpec(1, 1)
-    spec33 = MexSpec(3, 3)
     rng = f"1 <= n <= {bound}"
     for n in range(1, bound + 1):
-        crank_count = 0
-        rank_count = 0
-        for parts in enumerate_partitions(n):
-            if crank(parts) >= 0:
-                crank_count += 1
-            if rank(parts) >= -1:
-                rank_count += 1
-        if p_direct(spec11, n) != crank_count:
+        crank_count, mex11_count, rank_count, mex33_count = _crank_rank_tallies(n)
+        if mex11_count != crank_count:
             return VerificationReport(
                 "crank-rank-equivalence", rng, False, n, detail="crank side mismatch"
             )
-        if p_direct(spec33, n) != rank_count:
+        if mex33_count != rank_count:
             return VerificationReport(
                 "crank-rank-equivalence", rng, False, n, detail="rank side mismatch"
             )
@@ -345,7 +356,7 @@ def verify_crank_rank(bound: int) -> VerificationReport:
 
 def verify_odd_progression(bound: int) -> VerificationReport:
     """Every odd-index coefficient of the t = 1 parity series is even."""
-    n = _first_odd(ptt_mod2_series(1, _checked_bound(bound)), 2, (1,))
+    n = _first_odd(nonzero_indices(ptt_mod2_series(1, _checked_bound(bound))), 2, (1,))
     return _report("p11-odd-progression", f"odd n < {bound}", n, "odd count at odd index")
 
 
@@ -356,8 +367,9 @@ def verify_qnr_families(which: str, primes: tuple[int, ...], bound: int) -> Veri
     index pn + r below the bound must carry an even coefficient.
     """
     t = 1 if _characterization_shift(which) == 12 else 3
-    s = ptt_mod2_series(t, _checked_bound(bound))
-    families = ((s, p, qnr_residues(which, p), "") for p in sorted(primes))
+    # every family walks the same O(sqrt(bound)) odd indices
+    odd = tuple(nonzero_indices(ptt_mod2_series(t, _checked_bound(bound))))
+    families = ((odd, p, qnr_residues(which, p), "") for p in sorted(primes))
     rng = f"p in {sorted(primes)}, indices < {bound}"
     return _sweep(f"{which}-qnr-families", rng, families)
 
@@ -371,9 +383,9 @@ def verify_power4_families(max_m: int, bound: int) -> VerificationReport:
     """
     if max_m < 0:
         raise ValueError("max_m must be >= 0")
-    s = ptt_mod2_series(3, _checked_bound(bound))
+    odd = tuple(nonzero_indices(ptt_mod2_series(3, _checked_bound(bound))))
     families = (
-        (s, modulus, ((k * 4**m - 1) // 3,), f" (m={m})")
+        (odd, modulus, ((k * 4**m - 1) // 3,), f" (m={m})")
         for m in range(max_m + 1)
         for modulus, k in ((4 ** (m + 1), 7), (4 ** (m + 1), 10), (2 * 4 ** (m + 1), 13))
     )
@@ -383,7 +395,7 @@ def verify_power4_families(max_m: int, bound: int) -> VerificationReport:
 def _residue_families(theorem_id: str, series_of, what: str, bound: int) -> VerificationReport:
     # the THEOREM6_RESIDUES classes mod 2t of series_of(t, bound), t ascending
     families = (
-        (series_of(t, bound), 2 * t, THEOREM6_RESIDUES[t], f" (t={t})")
+        (nonzero_indices(series_of(t, bound)), 2 * t, THEOREM6_RESIDUES[t], f" (t={t})")
         for t in sorted(THEOREM6_RESIDUES)
     )
     rng = f"t in {sorted(THEOREM6_RESIDUES)}, indices < {_checked_bound(bound)}"
@@ -485,7 +497,7 @@ def scan_congruences(t: int, modulus: int, bound: int) -> list[CongruenceClaim]:
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
     s = ptt_mod2_series(t, _checked_bound(bound))
-    profile = _first_odd_by_residue(s, modulus)
+    profile = _first_odd_by_residue(nonzero_indices(s), modulus)
     claims = []
     for j in range(modulus):
         checked = (bound - 1 - j) // modulus

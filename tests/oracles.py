@@ -5,6 +5,8 @@ come from the classic coin-style dynamic program, products from naive
 schoolbook convolution, and the pentagonal predicate from an explicit
 search over k.  The Euler product is multiplied out one binomial
 factor at a time, independently of the pentagonal form the library uses.
+Partitions come from a recursive generator, and the crank is computed
+without assuming any order of the parts.
 """
 
 from __future__ import annotations
@@ -71,3 +73,28 @@ def smallest_missing_in_progression(parts, a: int, step: int) -> int:
     while candidate in list(parts):
         candidate += step
     return candidate
+
+
+def partitions_descending_reference(n: int):
+    """Partitions of n in decreasing-first-part order, by recursion on the
+    first part; the partitions of 0 are just the empty tuple."""
+
+    def descend(remaining, cap, acc):
+        if remaining == 0:
+            yield tuple(acc)
+            return
+        for part in range(min(cap, remaining), 0, -1):
+            acc.append(part)
+            yield from descend(remaining - part, part, acc)
+            acc.pop()
+
+    return descend(n, n, [])
+
+
+def crank_unordered(parts) -> int:
+    """Andrews-Garvan crank with no assumption on the order of the parts:
+    max part if there are no 1s, else #(parts > w) - w for w the 1s."""
+    ones = sum(1 for p in parts if p == 1)
+    if ones == 0:
+        return max(parts)
+    return sum(1 for p in parts if p > ones) - ones

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,7 +16,13 @@ from mexparity.partitions import (
     p_direct,
     rank,
 )
-from oracles import partition_counts, smallest_missing_in_progression
+from mexparity.verify import _crank_rank_tallies
+from oracles import (
+    crank_unordered,
+    partition_counts,
+    partitions_descending_reference,
+    smallest_missing_in_progression,
+)
 
 partitions_of = st.integers(1, 18).flatmap(
     lambda n: st.sampled_from(list(enumerate_partitions(n)))
@@ -30,6 +38,10 @@ class TestEnumeration:
             (2, 1, 1),
             (1, 1, 1, 1),
         ]
+
+    def test_matches_recursive_reference_in_order(self):
+        for n in range(31):
+            assert list(enumerate_partitions(n)) == list(partitions_descending_reference(n))
 
     def test_zero_yields_empty_partition(self):
         assert list(enumerate_partitions(0)) == [()]
@@ -125,14 +137,32 @@ class TestRankCrank:
         with pytest.raises(ValueError):
             crank(())
 
+    def test_crank_matches_order_free_oracle(self):
+        for n in range(2, 26):
+            for parts in enumerate_partitions(n):
+                assert crank(parts) == crank_unordered(parts), parts
+
+    def test_crank_distribution_is_symmetric(self):
+        # Andrews-Garvan: M(m, n) = M(-m, n) for n >= 2
+        for n in range(2, 26):
+            counts = Counter(crank(parts) for parts in enumerate_partitions(n))
+            assert all(counts[m] == counts[-m] for m in counts), n
+
     def test_crank_equivalence_at_3(self):
         qualifying = [p for p in enumerate_partitions(3) if crank(p) >= 0]
         assert qualifying == [(3,), (2, 1)]
         assert len(qualifying) == p_direct(MexSpec(1, 1), 3)
+        # the one-pass tallies behind verify_crank_rank
+        for n in range(1, 21):
+            crank_count, mex11_count, _, _ = _crank_rank_tallies(n)
+            assert mex11_count == p_direct(MexSpec(1, 1), n) == crank_count, n
 
     def test_rank_equivalence_at_2(self):
         qualifying = [p for p in enumerate_partitions(2) if rank(p) >= -1]
         assert len(qualifying) == 2 == p_direct(MexSpec(3, 3), 2)
+        for n in range(1, 21):
+            _, _, rank_count, mex33_count = _crank_rank_tallies(n)
+            assert mex33_count == p_direct(MexSpec(3, 3), n) == rank_count, n
 
     @given(partitions_of)
     def test_rank_negates_under_conjugation(self, parts):

@@ -154,6 +154,20 @@ class TestCrankRank:
         with pytest.raises(EnumerationLimitError):
             verify_crank_rank(46)
 
+    def test_crank_side_failure_is_reported(self, monkeypatch):
+        # no crank >= 0 anywhere, while p_{1,1}(1) = 0 and p_{1,1}(2) = 1
+        monkeypatch.setattr(verify, "crank", lambda parts: -1)
+        report = verify_crank_rank(10)
+        assert (report.passed, report.counterexample) == (False, 2)
+        assert report.detail == "crank side mismatch"
+
+    def test_rank_side_failure_is_reported(self, monkeypatch):
+        # no rank >= -1 anywhere, while p_{3,3}(1) = 1
+        monkeypatch.setattr(verify, "rank", lambda parts: -2)
+        report = verify_crank_rank(10)
+        assert (report.passed, report.counterexample) == (False, 1)
+        assert report.detail == "rank side mismatch"
+
 
 class TestProgressionFamilies:
     def test_odd_progression(self):
