@@ -37,6 +37,8 @@ def _odd_t_option(ctx, param, value):
 
 
 def _cell(value, fmt: str) -> str:
+    if type(value) is int:
+        return str(value)
     if value is None:
         return "" if fmt == "csv" else "-"
     if isinstance(value, bool):
@@ -59,13 +61,10 @@ def _render(kind: str, records: list[dict], fmt: str) -> str:
         for rec in records:
             writer.writerow([kind] + [_cell(rec[c], "csv") for c in columns])
         return buf.getvalue()
-    rows = [[_cell(rec[c], "table") for c in columns] for rec in records]
-    widths = [max(len(col), *(len(row[i]) for row in rows)) if rows else len(col)
-              for i, col in enumerate(columns)]
-    lines = ["  ".join(col.ljust(widths[i]) for i, col in enumerate(columns)).rstrip()]
-    for row in rows:
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
-    return "\n".join(lines) + "\n"
+    k = len(columns)
+    cells = [*columns, *(_cell(rec[c], "table") for rec in records for c in columns)]
+    line = "  ".join(f"{{:<{max(map(len, cells[i::k]))}}}" for i in range(k))
+    return "".join(line.format(*row).rstrip() + "\n" for row in zip(*[iter(cells)] * k))
 
 
 def _emit(kind: str, records: list[dict], fmt: str, out: str | None) -> None:

@@ -20,7 +20,9 @@ trivial reasons and the parity statements all start at n = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import isqrt
+from operator import sub
 from typing import Iterable
 
 from .genfun import acore_mod2_series, ptt_mod2_series, dissection_identity_check
@@ -428,21 +430,20 @@ def _series_match_report(theorem_id: str, lhs: TruncatedSeries, rhs: TruncatedSe
     )
 
 
-def _literal_euler_product(step: int, order: int) -> TruncatedSeries:
-    # the literal product of the (1 - q^(step*k)) factors, multiplied out in
-    # place one factor at a time; the partial product after k factors has
-    # degree at most step*k(k+1)/2, so early factors touch only a short
-    # prefix.  Independent of the pentagonal form euler_product is built on.
-    c = [0] * order
-    c[0] = 1
-    degree = 0
-    m = step
-    while m < order:
-        degree = min(degree + m, order - 1)
-        for i in range(degree, m - 1, -1):
-            c[i] -= c[i - m]
-        m += step
+def _literal_euler_product(order: int) -> TruncatedSeries:
+    # the literal product of the (1 - q^m), one slice assignment per factor
+    # over its live window [m, m(m+1)/2] (the degree after m factors); the
+    # slice consumes the map before writing.  Independent of euler_product.
+    c = [1] + [0] * (order - 1)
+    for m in range(1, order):
+        top = min(m * (m + 1) // 2, order - 1) + 1
+        c[m:top] = map(sub, islice(c, m, top), islice(c, 0, top - m))
     return TruncatedSeries(c)
+
+
+def _at_q_squared(s: TruncatedSeries) -> TruncatedSeries:
+    # s(q^2) through the order of s: coefficient 2j is s_j, j < ceil(order/2)
+    return TruncatedSeries(0 if i % 2 else s.coeffs[i // 2] for i in range(s.order))
 
 
 def verify_series_identities(order: int) -> list[VerificationReport]:
@@ -451,11 +452,11 @@ def verify_series_identities(order: int) -> list[VerificationReport]:
     The pentagonal-number sum against (q;q), the signed (2n+1)-weighted
     triangular sum against (q;q)^3, and the triangular indicator psi via
     psi * (q;q) against (q^2;q^2)^2; each coefficientwise through `order`.
-    The products are multiplied out factor by factor, independently of
-    series.euler_product.
+    (q;q) is multiplied out once, factor by factor, independently of
+    series.euler_product, and (q^2;q^2) is that same product at q -> q^2.
     """
-    euler = _literal_euler_product(1, order)
-    euler2 = _literal_euler_product(2, order)
+    euler = _literal_euler_product(order)
+    euler2 = _at_q_squared(euler)
     return [
         _series_match_report("euler-pentagonal-identity", euler_pentagonal(order), euler, order),
         _series_match_report(

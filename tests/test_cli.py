@@ -2,9 +2,10 @@ import csv
 import io
 import json
 
+import pytest
 from click.testing import CliRunner
 
-from mexparity.cli import main
+from mexparity.cli import _render, main
 
 
 def run(*args, env=None):
@@ -141,3 +142,93 @@ class TestOutputFormats:
         result = run("compute", "--t", "1", "--limit", "2")
         header = result.output.splitlines()[0].split()
         assert header == ["t", "n", "value"]
+
+
+# One record set per kind, covering negative and multi-width ints, None,
+# both bools, an empty string and a CSV cell that needs quoting.
+GOLDEN_RECORDS = {
+    "coefficient": [
+        {"t": 3, "n": 0, "value": 1},
+        {"t": 3, "n": 9, "value": -128},
+        {"t": 3, "n": 10, "value": 7},
+    ],
+    "report": [
+        {"theorem_id": "euler-pentagonal-identity", "range": "0 <= n < 50", "passed": True,
+         "counterexample": None, "detail": ""},
+        {"theorem_id": "p11-characterization", "range": "1 <= n < 50", "passed": False,
+         "counterexample": 12, "detail": 'coefficients differ at q^12: 1 vs 0, "quoted"'},
+    ],
+    "claim": [
+        {"t": 5, "modulus": 10, "residue": 2, "checked_bound": 9, "status": "verified",
+         "witness": None},
+        {"t": 5, "modulus": 10, "residue": 3, "checked_bound": 9, "status": "refuted",
+         "witness": 0},
+        {"t": 5, "modulus": 10, "residue": 9, "checked_bound": -1, "status": "unchecked",
+         "witness": None},
+    ],
+}
+
+GOLDEN_OUTPUT = {
+    ("coefficient", "table"): (
+        "t  n   value\n"
+        "3  0   1\n"
+        "3  9   -128\n"
+        "3  10  7\n"
+    ),
+    ("coefficient", "jsonl"): (
+        '{"kind":"coefficient","t":3,"n":0,"value":1}\n'
+        '{"kind":"coefficient","t":3,"n":9,"value":-128}\n'
+        '{"kind":"coefficient","t":3,"n":10,"value":7}\n'
+    ),
+    ("coefficient", "csv"): (
+        "kind,t,n,value\n"
+        "coefficient,3,0,1\n"
+        "coefficient,3,9,-128\n"
+        "coefficient,3,10,7\n"
+    ),
+    ("report", "table"): (
+        "theorem_id                 range        passed  counterexample  detail\n"
+        "euler-pentagonal-identity  0 <= n < 50  true    -\n"
+        "p11-characterization       1 <= n < 50  false   12              "
+        'coefficients differ at q^12: 1 vs 0, "quoted"\n'
+    ),
+    ("report", "jsonl"): (
+        '{"kind":"report","theorem_id":"euler-pentagonal-identity","range":"0 <= n < 50",'
+        '"passed":true,"counterexample":null,"detail":""}\n'
+        '{"kind":"report","theorem_id":"p11-characterization","range":"1 <= n < 50",'
+        '"passed":false,"counterexample":12,'
+        '"detail":"coefficients differ at q^12: 1 vs 0, \\"quoted\\""}\n'
+    ),
+    ("report", "csv"): (
+        "kind,theorem_id,range,passed,counterexample,detail\n"
+        "report,euler-pentagonal-identity,0 <= n < 50,true,,\n"
+        'report,p11-characterization,1 <= n < 50,false,12,'
+        '"coefficients differ at q^12: 1 vs 0, ""quoted"""\n'
+    ),
+    ("claim", "table"): (
+        "t  modulus  residue  checked_bound  status     witness\n"
+        "5  10       2        9              verified   -\n"
+        "5  10       3        9              refuted    0\n"
+        "5  10       9        -1             unchecked  -\n"
+    ),
+    ("claim", "jsonl"): (
+        '{"kind":"claim","t":5,"modulus":10,"residue":2,"checked_bound":9,'
+        '"status":"verified","witness":null}\n'
+        '{"kind":"claim","t":5,"modulus":10,"residue":3,"checked_bound":9,'
+        '"status":"refuted","witness":0}\n'
+        '{"kind":"claim","t":5,"modulus":10,"residue":9,"checked_bound":-1,'
+        '"status":"unchecked","witness":null}\n'
+    ),
+    ("claim", "csv"): (
+        "kind,t,modulus,residue,checked_bound,status,witness\n"
+        "claim,5,10,2,9,verified,\n"
+        "claim,5,10,3,9,refuted,0\n"
+        "claim,5,10,9,-1,unchecked,\n"
+    ),
+}
+
+
+class TestRenderGolden:
+    @pytest.mark.parametrize("kind, fmt", sorted(GOLDEN_OUTPUT))
+    def test_bytes_are_pinned(self, kind, fmt):
+        assert _render(kind, GOLDEN_RECORDS[kind], fmt) == GOLDEN_OUTPUT[kind, fmt]

@@ -271,6 +271,13 @@ class TestDissect:
         assert dissect(s, 2, 0).coeffs == (1, 1, 0, 1)
         assert dissect(s, 3, 1).coeffs == (0, 0)
 
+    @given(st.one_of(int_series, mod2_series), st.integers(1, 12), st.data())
+    def test_matches_coefficient_slice(self, s, modulus, data):
+        residue = data.draw(st.integers(0, min(modulus, s.order) - 1))
+        got = dissect(s, modulus, residue)
+        assert got.domain is s.domain
+        assert got.coeffs == s.coeffs[residue::modulus]
+
     @given(int_series, st.integers(1, 5))
     def test_interleaving_reconstructs(self, s, modulus):
         pieces = [dissect(s, modulus, r) for r in range(min(modulus, s.order))]

@@ -1,10 +1,20 @@
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, strategies as st
 
 from mexparity import verify
 from mexparity.genfun import ptt_mod2_series
 from mexparity.partitions import EnumerationLimitError, MexSpec, p_direct
-from mexparity.series import MOD2, TruncatedSeries
+from mexparity.series import (
+    MOD2,
+    TruncatedSeries,
+    euler_pentagonal,
+    jacobi_cube,
+    series_mul,
+    series_recip,
+    theta_psi,
+)
 from mexparity.verify import (
     CongruenceClaim,
     DEFAULT_QNR_PRIMES,
@@ -27,7 +37,7 @@ from mexparity.verify import (
     verify_tcore_congruences,
     verify_theorem6,
 )
-from oracles import pent_type_by_search
+from oracles import euler_product_by_factors, pent_type_by_search
 
 CHECKERS = {
     "p11": lambda bound: verify_characterization("p11", bound),
@@ -49,6 +59,13 @@ def planted(odd_by_t):
         return TruncatedSeries([1 if n in odd else 0 for n in range(order)], MOD2)
 
     return series
+
+
+@lru_cache(maxsize=None)
+def factor_oracle(step):
+    """The factor-by-factor product at order 300, the largest order drawn;
+    its prefix is the same product truncated at any lower order."""
+    return tuple(euler_product_by_factors(step, 300))
 
 
 class TestPredicates:
@@ -258,6 +275,59 @@ class TestIdentitySuites:
             "theta-psi-identity",
         ]
         assert all(r.passed for r in reports)
+
+    @given(st.integers(1, 300))
+    def test_literal_product_matches_factor_oracle(self, order):
+        got = verify._literal_euler_product(order).coeffs
+        assert got == factor_oracle(1)[:order]
+
+    @given(st.integers(1, 300))
+    def test_dilated_product_matches_step2_oracle(self, order):
+        got = verify._at_q_squared(verify._literal_euler_product(order)).coeffs
+        assert got == factor_oracle(2)[:order]
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 8, 33, 64])
+    def test_dilated_product_at_small_orders(self, order):
+        got = verify._at_q_squared(verify._literal_euler_product(order)).coeffs
+        assert got == tuple(euler_product_by_factors(2, order))
+        assert factor_oracle(1)[:order] == tuple(euler_product_by_factors(1, order))
+
+    @pytest.mark.parametrize(
+        "closed_form, theorem_id, index, want",
+        [
+            (euler_pentagonal, "euler-pentagonal-identity", 15, -1),
+            (jacobi_cube, "jacobi-cube-identity", 15, -11),
+            # psi + q^16 raises psi*(q;q) at q^16 by the constant term 1
+            (theta_psi, "theta-psi-identity", 16, -2),
+        ],
+    )
+    def test_planted_error_is_reported(self, monkeypatch, closed_form, theorem_id, index, want):
+        def wrong(order):
+            c = list(closed_form(order).coeffs)
+            c[index] += 1
+            return TruncatedSeries(c)
+
+        monkeypatch.setattr(verify, closed_form.__name__, wrong)
+        reports = {r.theorem_id: r for r in verify_series_identities(40)}
+        failed = reports.pop(theorem_id)
+        assert not failed.passed
+        assert failed.counterexample == index
+        assert failed.detail == f"coefficients differ at q^{index}: {want + 1} vs {want}"
+        assert all(r.passed for r in reports.values())
+
+    def test_literal_product_missing_a_factor_fails(self, monkeypatch):
+        literal = verify._literal_euler_product
+
+        def without_factor_7(order):
+            binomial = TruncatedSeries([1] + [0] * 6 + [-1] + [0] * (order - 8))
+            return series_mul(literal(order), series_recip(binomial))
+
+        monkeypatch.setattr(verify, "_literal_euler_product", without_factor_7)
+        report = verify_series_identities(40)[0]
+        assert report.theorem_id == "euler-pentagonal-identity"
+        assert not report.passed
+        assert report.counterexample == 7
+        assert report.detail == "coefficients differ at q^7: 1 vs 2"
 
     def test_dissection_identities(self):
         assert verify_dissection_identities((5, 7), 40).passed
