@@ -39,6 +39,8 @@ def _odd_t_option(ctx, param, value):
 def _cell(value, fmt: str) -> str:
     if type(value) is int:
         return str(value)
+    if fmt == "jsonl":
+        return json.dumps(value)
     if value is None:
         return "" if fmt == "csv" else "-"
     if isinstance(value, bool):
@@ -49,11 +51,10 @@ def _cell(value, fmt: str) -> str:
 def _render(kind: str, records: list[dict], fmt: str) -> str:
     columns = _COLUMNS[kind]
     if fmt == "jsonl":
-        lines = [
-            json.dumps({"kind": kind, **{c: rec[c] for c in columns}}, separators=(",", ":"))
-            for rec in records
-        ]
-        return "\n".join(lines) + "\n"
+        # one %-template per kind; no records still render as one newline
+        line = f'{{"kind":"{kind}"' + "".join(f',"{c}":%s' for c in columns) + "}\n"
+        rows = ([_cell(rec[c], fmt) for c in columns] for rec in records)
+        return "".join(line % tuple(row) for row in rows) or "\n"
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

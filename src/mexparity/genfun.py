@@ -3,19 +3,19 @@
 The central object is the weight generating function of the partition
 counts defined by the mex statistic with A = a = t (t odd): as a q-series
 it is the alternating triangular sum at step t divided by the Euler
-product (q;q)_inf.  Modulo 2 that quotient collapses to the eta-style
-product (q^t;q^t)_inf^3 / (q;q)_inf, which is what makes parity questions
-tractable at order 10^5; both routes are exposed and their agreement is
-part of the test suite.
+product (q;q)_inf.  Over GF(2) that sum is psi(q^t), so the parity series
+is R * psi(q^t) with R = 1/(q;q)_inf (by Jacobi, (q^t;q^t)^3 = psi(q^t) mod 2).
 
 The t-core counting series (q^t;q^t)_inf^t / (q;q)_inf and the
 arithmetic-progression dissection identity that links the two families
-live here as well.
+live here as well.  Over GF(2) squaring is a dilation, so the t-core
+parity series is R times the sparse (q^(t*2^i);q^(t*2^i)) for each set
+bit i of t.  Every GF(2) product thus has a sparse factor.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .series import (
     MOD2,
@@ -55,17 +55,10 @@ def ptt_series(t: int, order: int) -> TruncatedSeries:
 
 @lru_cache(maxsize=64)
 def ptt_mod2_series(t: int, order: int) -> TruncatedSeries:
-    """Parity of ptt_series, computed natively over GF(2).
-
-    Uses the product form (q^t;q^t)^3 / (q;q), which reduces the same way
-    for every odd t and scales to order 10^5; agreement with
-    reduce_mod2(ptt_series(t, .)) is covered by the tests.  Even t is
-    rejected: the parity collapse needs t odd.
-    """
+    """Parity of ptt_series: the same formula over GF(2), where the
+    alternating triangular sum is psi(q^t).  Even t is rejected."""
     _require_odd_t(t)
-    return series_mul(
-        euler_product(t, 3, order, MOD2), euler_product(1, -1, order, MOD2)
-    )
+    return series_mul(euler_product(1, -1, order, MOD2), alternating_triangular(t, order, MOD2))
 
 
 @lru_cache(maxsize=64)
@@ -78,12 +71,12 @@ def acore_series(t: int, order: int) -> TruncatedSeries:
 
 @lru_cache(maxsize=64)
 def acore_mod2_series(t: int, order: int) -> TruncatedSeries:
-    """Parity of the t-core counts, computed natively over GF(2)."""
+    """Parity of the t-core counts over GF(2): 1/(q;q) times one factor
+    (q^(t*2^i);q^(t*2^i)) per set bit i of t, which is (q^t;q^t)^t mod 2."""
     if t < 2:
         raise ValueError("t must be at least 2")
-    return series_mul(
-        euler_product(t, t, order, MOD2), euler_product(1, -1, order, MOD2)
-    )
+    factors = (euler_product(t << i, 1, order, MOD2) for i in range(t.bit_length()) if t >> i & 1)
+    return reduce(series_mul, factors, euler_product(1, -1, order, MOD2))
 
 
 def dissection_identity_check(t: int, r: int, order: int) -> bool:

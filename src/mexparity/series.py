@@ -7,15 +7,15 @@ as the inputs are exact to order N, so is the output.  Coefficients at or
 beyond the truncation order are unknown, not zero, and asking for them is
 an error.
 
-Integer series are kept as coefficient tuples.  GF(2) series are kept as a
-single Python int used as a bitmask (bit n = coefficient of q^n), which is
-what lets the parity pipeline run at order 10^5.  Every product the
+Integer series are kept as coefficient tuples, GF(2) series as one Python
+int used as a bitmask (bit n = coefficient of q^n).  Every product the
 package builds has a sparse factor (a pentagonal or triangular series or
-a dilation of one), so there is one multiplication route per domain:
-shift-XOR over the sparser operand for GF(2), a convolution over the
-nonzero terms for the integers.  Reciprocals use Newton iteration over
-GF(2), where squaring a series is just a bit dilation, and sparse
-back-substitution over the integers.
+a dilation of one); over GF(2) the parity series are R = 1/(q;q) times
+psi(q^t), or times one pentagonal factor per set bit of t.  So there is
+one multiplication route per domain: shift-XOR over the sparser operand
+for GF(2), a convolution over the nonzero terms for the integers.
+Reciprocals use Newton iteration over GF(2), where squaring a series is
+just a bit dilation, and sparse back-substitution over the integers.
 
 The module also provides constructors for the classical series this
 package is built around: the Euler product (q^s;q^s)_inf and its powers,
@@ -173,7 +173,7 @@ class TruncatedSeries:
         return hash((self.domain, self.order, self._data))
 
     def __repr__(self) -> str:
-        head = ", ".join(str(c) for c in self.coeffs[:8])
+        head = ", ".join(str(self.coeff(n)) for n in range(min(8, self.order)))
         tail = ", ..." if self.order > 8 else ""
         return f"TruncatedSeries([{head}{tail}], order={self.order}, domain={self.domain.value})"
 
@@ -200,8 +200,7 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
         raise ValueError(f"domain mismatch: {a.domain.value} * {b.domain.value}")
     order = min(a.order, b.order)
     if a.domain is MOD2:
-        mask = (1 << order) - 1
-        return TruncatedSeries._from_bits(_gf2_mul(a._data & mask, b._data & mask, order), order)
+        return TruncatedSeries._from_bits(_gf2_mul(a._data, b._data, order), order)
     return TruncatedSeries._from_tuple(_int_mul(a._data, b._data, order), order)
 
 
@@ -260,12 +259,12 @@ def jacobi_cube(order: int) -> TruncatedSeries:
     return _from_terms(terms, order)
 
 
-def alternating_triangular(t: int, order: int) -> TruncatedSeries:
-    """The alternating sum of (-1)^n q^(t*n(n+1)/2) over n >= 0."""
+def alternating_triangular(t: int, order: int, domain: Domain = INTEGERS) -> TruncatedSeries:
+    """The alternating sum of (-1)^n q^(t*n(n+1)/2) over n >= 0 (psi(q^t) mod 2)."""
     if t < 1:
         raise ValueError("t must be a positive integer")
     terms = ((t * n * (n + 1) // 2, -1 if n & 1 else 1) for n in count())
-    return _from_terms(terms, order)
+    return _from_terms(terms, order, domain)
 
 
 def theta_psi(order: int) -> TruncatedSeries:
@@ -417,7 +416,7 @@ def _gf2_recip(a: int, order: int) -> int:
     m = 1
     while m < order:
         m = min(2 * m, order)
-        x = _gf2_mul(a & ((1 << m) - 1), _gf2_dilate(x), m)
+        x = _gf2_mul(a, _gf2_dilate(x), m)
     return x
 
 

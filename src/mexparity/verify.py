@@ -266,10 +266,16 @@ def _first_odd_by_residue(odd: Iterable[int], modulus: int) -> dict[int, int]:
     return found
 
 
-def _first_odd(odd: Iterable[int], modulus: int, residues: Iterable[int]) -> int | None:
-    # smallest index >= 1 of `odd` in any of the listed classes
-    profile = _first_odd_by_residue(odd, modulus)
-    return min((profile[r] for r in residues if r in profile), default=None)
+def _first_odd(s: TruncatedSeries, modulus: int, residues: Iterable[int]) -> int | None:
+    # smallest index >= 1 with an odd coefficient of the Mod2 series s in any
+    # listed class: one period of the class mask, doubled until it covers s
+    mask = _bits_of(residues, modulus)
+    width = modulus
+    while width < s.order:
+        mask |= mask << width
+        width *= 2
+    hits = s.bits & mask & ~1
+    return (hits & -hits).bit_length() - 1 if hits else None
 
 
 def _report(theorem_id: str, rng: str, witness: int | None, detail: str) -> VerificationReport:
@@ -279,10 +285,10 @@ def _report(theorem_id: str, rng: str, witness: int | None, detail: str) -> Veri
 
 
 def _sweep(theorem_id: str, rng: str, families: Iterable, what: str = "") -> VerificationReport:
-    # families yields (odd indices, modulus, residues, note) in check order;
+    # families yields (Mod2 series, modulus, residues, note) in check order;
     # a failure names the smallest odd index of the first family that has one
-    for odd, modulus, residues, note in families:
-        n = _first_odd(odd, modulus, residues)
+    for s, modulus, residues, note in families:
+        n = _first_odd(s, modulus, residues)
         if n is not None:
             where = f"{modulus}n + {n % modulus}{note}"
             return _report(theorem_id, rng, n, f"odd {what}count at index {n} = {where}")
@@ -358,7 +364,7 @@ def verify_crank_rank(bound: int) -> VerificationReport:
 
 def verify_odd_progression(bound: int) -> VerificationReport:
     """Every odd-index coefficient of the t = 1 parity series is even."""
-    n = _first_odd(nonzero_indices(ptt_mod2_series(1, _checked_bound(bound))), 2, (1,))
+    n = _first_odd(ptt_mod2_series(1, _checked_bound(bound)), 2, (1,))
     return _report("p11-odd-progression", f"odd n < {bound}", n, "odd count at odd index")
 
 
@@ -369,9 +375,8 @@ def verify_qnr_families(which: str, primes: tuple[int, ...], bound: int) -> Veri
     index pn + r below the bound must carry an even coefficient.
     """
     t = 1 if _characterization_shift(which) == 12 else 3
-    # every family walks the same O(sqrt(bound)) odd indices
-    odd = tuple(nonzero_indices(ptt_mod2_series(t, _checked_bound(bound))))
-    families = ((odd, p, qnr_residues(which, p), "") for p in sorted(primes))
+    s = ptt_mod2_series(t, _checked_bound(bound))
+    families = ((s, p, qnr_residues(which, p), "") for p in sorted(primes))
     rng = f"p in {sorted(primes)}, indices < {bound}"
     return _sweep(f"{which}-qnr-families", rng, families)
 
@@ -385,9 +390,9 @@ def verify_power4_families(max_m: int, bound: int) -> VerificationReport:
     """
     if max_m < 0:
         raise ValueError("max_m must be >= 0")
-    odd = tuple(nonzero_indices(ptt_mod2_series(3, _checked_bound(bound))))
+    s = ptt_mod2_series(3, _checked_bound(bound))
     families = (
-        (odd, modulus, ((k * 4**m - 1) // 3,), f" (m={m})")
+        (s, modulus, ((k * 4**m - 1) // 3,), f" (m={m})")
         for m in range(max_m + 1)
         for modulus, k in ((4 ** (m + 1), 7), (4 ** (m + 1), 10), (2 * 4 ** (m + 1), 13))
     )
@@ -397,7 +402,7 @@ def verify_power4_families(max_m: int, bound: int) -> VerificationReport:
 def _residue_families(theorem_id: str, series_of, what: str, bound: int) -> VerificationReport:
     # the THEOREM6_RESIDUES classes mod 2t of series_of(t, bound), t ascending
     families = (
-        (nonzero_indices(series_of(t, bound)), 2 * t, THEOREM6_RESIDUES[t], f" (t={t})")
+        (series_of(t, bound), 2 * t, THEOREM6_RESIDUES[t], f" (t={t})")
         for t in sorted(THEOREM6_RESIDUES)
     )
     rng = f"t in {sorted(THEOREM6_RESIDUES)}, indices < {_checked_bound(bound)}"

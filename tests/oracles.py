@@ -28,6 +28,8 @@ def schoolbook_mul(a, b, order):
     for i, av in enumerate(a):
         if i >= order:
             break
+        if not av:
+            continue
         for j, bv in enumerate(b):
             if i + j >= order:
                 break
@@ -40,7 +42,18 @@ def euler_product_by_factors(step: int, order: int) -> list[int]:
     factor at a time; factors with step*k >= order are 1 in the window."""
     out = [1] + [0] * (order - 1)
     for m in range(step, order, step):
-        out = schoolbook_mul(out, [1] + [0] * (m - 1) + [-1], order)
+        out = schoolbook_mul([1] + [0] * (m - 1) + [-1], out, order)
+    return out
+
+
+def product_form_mod2(step: int, power: int, order: int) -> list[int]:
+    """(q^step;q^step)^power / (q;q) reduced mod 2: the partition counts
+    (the coefficients of 1/(q;q)) times the factor-by-factor product,
+    `power` times over."""
+    base = euler_product_by_factors(step, order)
+    out = partition_counts(order)
+    for _ in range(power):
+        out = [c % 2 for c in schoolbook_mul(base, out, order)]
     return out
 
 

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from mexparity.genfun import (
     acore_mod2_series,
@@ -9,6 +10,7 @@ from mexparity.genfun import (
 )
 from mexparity.partitions import MexSpec, a_t_direct, p_direct
 from mexparity.series import reduce_mod2
+from oracles import product_form_mod2
 
 
 class TestPttSeries:
@@ -60,6 +62,19 @@ class TestPttMod2Series:
     @pytest.mark.parametrize("t", [1, 3, 5, 7])
     def test_agrees_with_integer_route(self, t):
         assert reduce_mod2(ptt_series(t, 2000)) == ptt_mod2_series(t, 2000)
+
+
+class TestMod2ProductForms:
+    # the GF(2) builders multiply R = 1/(q;q) by psi(q^t) and by one sparse
+    # factor per set bit of t; the literal products they stand for are
+    # (q^t;q^t)^3 / (q;q) (Jacobi) and (q^t;q^t)^t / (q;q)
+    @given(st.sampled_from(range(1, 26, 2)), st.integers(1, 300))
+    def test_ptt_mod2_matches_cube_product(self, t, order):
+        assert list(ptt_mod2_series(t, order).coeffs) == product_form_mod2(t, 3, order)
+
+    @given(st.integers(2, 25), st.integers(1, 300))
+    def test_acore_mod2_matches_power_product(self, t, order):
+        assert list(acore_mod2_series(t, order).coeffs) == product_form_mod2(t, t, order)
 
 
 class TestAcoreSeries:

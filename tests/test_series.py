@@ -62,6 +62,25 @@ class TestConstruction:
         with pytest.raises(ValueError):
             TruncatedSeries([1, 0, 1]).bits
 
+    @pytest.mark.parametrize(
+        "domain, order, text",
+        [
+            (INTEGERS, 1, "[1], order=1, domain=integers"),
+            (INTEGERS, 8, "[1, -1, -1, 0, 0, 1, 0, 1], order=8, domain=integers"),
+            (INTEGERS, 9, "[1, -1, -1, 0, 0, 1, 0, 1, ...], order=9, domain=integers"),
+            (INTEGERS, 10**6, "[1, -1, -1, 0, 0, 1, 0, 1, ...], order=1000000, domain=integers"),
+            (MOD2, 1, "[1], order=1, domain=mod2"),
+            (MOD2, 8, "[1, 1, 1, 0, 0, 1, 0, 1], order=8, domain=mod2"),
+            (MOD2, 9, "[1, 1, 1, 0, 0, 1, 0, 1, ...], order=9, domain=mod2"),
+            (MOD2, 10**6, "[1, 1, 1, 0, 0, 1, 0, 1, ...], order=1000000, domain=mod2"),
+        ],
+    )
+    def test_repr_shows_at_most_eight_coefficients(self, monkeypatch, domain, order, text):
+        s = euler_product(1, 1, order, domain)
+        # the head is read coefficient by coefficient, never as the whole tuple
+        monkeypatch.setattr(TruncatedSeries, "coeffs", property(lambda self: pytest.fail("coeffs read")))
+        assert repr(s) == f"TruncatedSeries({text})"
+
 
 class TestMul:
     def test_difference_of_squares(self):

@@ -259,6 +259,12 @@ class TestSweepContract:
         report = verify_theorem6(100)
         assert (report.counterexample, report.detail) == (6, "odd count at index 6 = 10n + 6 (t=5)")
 
+    def test_witness_at_the_last_index_is_found(self, monkeypatch):
+        # the class mask must reach index bound - 1: 96 = 9 * 10 + 6
+        monkeypatch.setattr(verify, "ptt_mod2_series", planted({5: {0, 96}}))
+        report = verify_theorem6(97)
+        assert (report.counterexample, report.detail) == (96, "odd count at index 96 = 10n + 6 (t=5)")
+
     def test_tcore_reports_first_counterexample(self, monkeypatch):
         monkeypatch.setattr(verify, "acore_mod2_series", planted({7: {0, 23, 13}}))
         report = verify_tcore_congruences(100)
@@ -383,6 +389,12 @@ class TestScanner:
             claims = scan_congruences(t, 2 * t, 1500)
             refuted = {c.residue for c in claims if not c.verified}
             assert not refuted & set(residues)
+
+    def test_verified_set_is_exactly_the_known_residues(self):
+        for t, residues in THEOREM6_RESIDUES.items():
+            claims = scan_congruences(t, 2 * t, 10**5)
+            verified = tuple(c.residue for c in claims if c.status == "verified-to-bound")
+            assert verified == residues
 
     @given(st.sampled_from(range(1, 24, 2)), st.integers(1, 40), st.integers(2, 600))
     def test_matches_direct_walk(self, t, modulus, bound):
