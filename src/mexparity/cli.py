@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Three subcommands: `compute` streams coefficients of the mex-partition
-series, `verify` runs the named verification suites, and `scan` sweeps
-residue classes for parity congruence candidates.  Every record stream
-can be rendered as an aligned table, JSON lines or CSV, and the same
-invocation always produces byte-identical output.
+series, CHUNK rows at a time formatted straight from the series, so its
+memory does not grow with `--limit`; `verify` runs the named verification
+suites, and `scan` sweeps residue classes for parity congruence
+candidates.  Every record stream can be rendered as an aligned table,
+JSON lines or CSV, and the same invocation always produces
+byte-identical output.
 
 Exit codes: 0 success (all checks passed), 1 a verification found a
 counterexample, 2 usage error.
@@ -16,12 +18,15 @@ import csv
 import io
 import json
 import sys
+from collections.abc import Iterable, Iterator
 
 import click
 
 from . import genfun, verify
+from .series import MOD2, TruncatedSeries
 
 MAX_INT_LIMIT = 10_000
+CHUNK = 1 << 14  # rows per chunk that `compute` renders and writes at a time
 
 _COLUMNS = {
     "coefficient": ("t", "n", "value"),
@@ -68,13 +73,35 @@ def _render(kind: str, records: list[dict], fmt: str) -> str:
     return "".join(line.format(*row).rstrip() + "\n" for row in zip(*[iter(cells)] * k))
 
 
-def _emit(kind: str, records: list[dict], fmt: str, out: str | None) -> None:
-    text = _render(kind, records, fmt)
+def _coefficient_chunks(t: int, series: TruncatedSeries, fmt: str) -> Iterator[str]:
+    # The bytes of _render("coefficient", ...), CHUNK rows at a time: the
+    # t and n column widths follow from t and the order alone, and value is
+    # the last column, so the table's rstrip drops all of its padding.
+    if fmt == "jsonl":
+        line = '{{"kind":"coefficient","t":%d,"n":{},"value":{}}}\n' % t
+    elif fmt == "csv":
+        yield "kind,t,n,value\n"
+        line = "coefficient,%d,{},{}\n" % t
+    else:
+        wn = len(str(series.order - 1))
+        yield f"{'t':<{len(str(t))}}  {'n':<{wn}}  value\n"
+        line = "%d  {:<%d}  {}\n" % (t, wn)
+    for lo in range(0, series.order, CHUNK):
+        hi = min(lo + CHUNK, series.order)
+        if series.domain is MOD2:
+            vals = format((series.bits >> lo) & ((1 << (hi - lo)) - 1), f"0{hi - lo}b")[::-1]
+        else:
+            vals = series.coeffs[lo:hi]
+        yield "".join(map(line.format, range(lo, hi), vals))
+
+
+def _emit(chunks: Iterable[str], out: str | None) -> None:
     if out:
         with open(out, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        click.echo(text, nl=False)
+        for chunk in chunks:
+            click.echo(chunk, nl=False)
 
 
 _limit_option = click.option(
@@ -125,9 +152,7 @@ def compute(t: int, limit: int, mod2: bool | None, fmt: str, out: str | None):
             f"--int is capped at limit {MAX_INT_LIMIT}; use --mod2 for larger sweeps"
         )
     series = genfun.ptt_mod2_series(t, limit) if mod2 else genfun.ptt_series(t, limit)
-    coeffs = series.coeffs
-    records = [{"t": t, "n": n, "value": coeffs[n]} for n in range(limit)]
-    _emit("coefficient", records, fmt, out)
+    _emit(_coefficient_chunks(t, series, fmt), out)
 
 
 @main.command("verify")
@@ -141,7 +166,7 @@ def verify_cmd(suite: str, limit: int, fmt: str, out: str | None):
     if limit < 2:
         raise click.UsageError("--limit must be at least 2")
     reports = verify.run_suite(suite, limit)
-    _emit("report", [r.to_record() for r in reports], fmt, out)
+    _emit([_render("report", [r.to_record() for r in reports], fmt)], out)
     if any(not r.passed for r in reports):
         sys.exit(1)
 
@@ -164,7 +189,7 @@ def scan(t: int, modulus: int, limit: int, fmt: str, out: str | None):
     if limit < 2:
         raise click.UsageError("--limit must be at least 2")
     claims = verify.scan_congruences(t, modulus, limit)
-    _emit("claim", [c.to_record() for c in claims], fmt, out)
+    _emit([_render("claim", [c.to_record() for c in claims], fmt)], out)
 
 
 if __name__ == "__main__":

@@ -1,11 +1,18 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import assume, given, settings, strategies as st
 
-from mexparity.cli import _render, main
+import mexparity
+from mexparity.cli import CHUNK, MAX_INT_LIMIT, _coefficient_chunks, _render, main
+from mexparity.genfun import ptt_mod2_series, ptt_series
+from mexparity.series import TruncatedSeries
 
 
 def run(*args, env=None):
@@ -142,6 +149,61 @@ class TestOutputFormats:
         result = run("compute", "--t", "1", "--limit", "2")
         header = result.output.splitlines()[0].split()
         assert header == ["t", "n", "value"]
+
+
+# Chunk edges, and the orders at which the n column widens (9 -> 10 rows).
+STREAM_LIMITS = (1, 9, 10, 11, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3)
+FORMATS = ("table", "jsonl", "csv")
+
+
+def render_records(t, series, fmt):
+    """Reference bytes for `compute`: one dict per coefficient, rendered
+    as a whole by `_render`."""
+    coeffs = series.coeffs
+    records = [{"t": t, "n": n, "value": coeffs[n]} for n in range(series.order)]
+    return _render("coefficient", records, fmt)
+
+
+def max_rss_kib(*args):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mexparity.__file__)))
+    proc = subprocess.Popen([sys.executable, "-m", "mexparity.cli", *args],
+                            stdout=subprocess.DEVNULL, env=env)
+    _, status, usage = os.wait4(proc.pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    return usage.ru_maxrss
+
+
+class TestStreamedCompute:
+    @given(t=st.integers(0, 12).map(lambda k: 2 * k + 1), mod2=st.booleans(),
+           limit=st.sampled_from(STREAM_LIMITS), fmt=st.sampled_from(FORMATS))
+    @settings(max_examples=40)
+    def test_stdout_equals_rendered_records(self, t, mod2, limit, fmt):
+        assume(mod2 or limit <= MAX_INT_LIMIT)
+        series = ptt_mod2_series(t, limit) if mod2 else ptt_series(t, limit)
+        domain = "--mod2" if mod2 else "--int"
+        result = run("compute", "--t", str(t), domain, "--limit", str(limit), "--format", fmt)
+        assert result.exit_code == 0
+        assert result.output == render_records(t, series, fmt)
+
+    @pytest.mark.parametrize("limit", STREAM_LIMITS)
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_integer_chunks_past_a_chunk_edge(self, fmt, limit):
+        # --int is capped below CHUNK and ptt_series past it is slow, so
+        # signed values that differ at every index stand in for it here
+        series = TruncatedSeries([n * (-1) ** n for n in range(limit)])
+        assert "".join(_coefficient_chunks(7, series, fmt)) == render_records(7, series, fmt)
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_out_file_equals_stdout(self, tmp_path, fmt):
+        args = ("compute", "--t", "5", "--limit", str(2 * CHUNK + 3), "--format", fmt)
+        target = tmp_path / f"rows.{fmt}"
+        assert run(*args, "--out", str(target)).output == ""
+        assert target.read_bytes() == run(*args).stdout_bytes
+
+    def test_memory_does_not_grow_with_the_limit(self):
+        small = max_rss_kib("compute", "--t", "5", "--limit", "10000")
+        large = max_rss_kib("compute", "--t", "5", "--limit", "1000000")
+        assert large - small <= 32 * 1024
 
 
 # One record set per kind, covering negative and multi-width ints, None,
