@@ -18,9 +18,9 @@ from .series import (
     series_recip,
     theta_psi,
 )
+from .errors import EnumerationLimitError, LimitError, OrderLimitError
 from .partitions import (
     ENUMERATION_CEILING,
-    EnumerationLimitError,
     MexSpec,
     a_t_direct,
     conjugate,
@@ -32,6 +32,7 @@ from .partitions import (
     rank,
 )
 from .genfun import (
+    INT_ORDER_CEILING,
     acore_mod2_series,
     acore_series,
     dissection_identity_check,

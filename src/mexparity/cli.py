@@ -25,7 +25,7 @@ import click
 from . import genfun, verify
 from .series import MOD2, TruncatedSeries
 
-MAX_INT_LIMIT = 10_000
+MAX_INT_LIMIT = genfun.INT_ORDER_CEILING
 CHUNK = 1 << 14  # rows per chunk that `compute` renders and writes at a time
 
 _COLUMNS = {

@@ -1,0 +1,18 @@
+"""Typed errors for requests that would exhaust time or memory.
+
+Each brute-force enumeration and exact-integer series has a ceiling on
+the size it accepts; a request past it fails at once with a LimitError
+(a ValueError) instead of running for minutes.
+"""
+
+
+class LimitError(ValueError):
+    """A request exceeds a ceiling that keeps it within time and memory."""
+
+
+class EnumerationLimitError(LimitError):
+    """Raised when a brute-force request exceeds the enumeration ceiling."""
+
+
+class OrderLimitError(LimitError):
+    """Raised when an integer series request exceeds the order ceiling."""

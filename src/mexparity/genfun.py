@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from functools import lru_cache, reduce
 
+from .errors import OrderLimitError
 from .series import (
     MOD2,
     TruncatedSeries,
@@ -28,6 +29,7 @@ from .series import (
 )
 
 __all__ = [
+    "INT_ORDER_CEILING",
     "ptt_series",
     "ptt_mod2_series",
     "acore_series",
@@ -36,9 +38,22 @@ __all__ = [
 ]
 
 
+# largest order ptt_series and acore_series accept: their cost grows as about
+# order^1.5, so a library call at order 10^6 would run for minutes
+INT_ORDER_CEILING = 10**4
+
+
 def _require_odd_t(t: int) -> None:
     if t < 1 or t % 2 == 0:
         raise ValueError(f"t must be an odd positive integer, got {t}")
+
+
+def _require_int_order(order: int) -> None:
+    if order > INT_ORDER_CEILING:
+        raise OrderLimitError(
+            f"integer series order {order} exceeds the ceiling {INT_ORDER_CEILING}; "
+            "use the mod-2 series for larger orders"
+        )
 
 
 @lru_cache(maxsize=64)
@@ -48,8 +63,10 @@ def ptt_series(t: int, order: int) -> TruncatedSeries:
 
     Computed as the alternating triangular sum at step t times the
     reciprocal Euler product; coefficients match partitions.p_direct.
+    An order above INT_ORDER_CEILING raises OrderLimitError.
     """
     _require_odd_t(t)
+    _require_int_order(order)
     return series_mul(euler_product(1, -1, order), alternating_triangular(t, order))
 
 
@@ -63,9 +80,13 @@ def ptt_mod2_series(t: int, order: int) -> TruncatedSeries:
 
 @lru_cache(maxsize=64)
 def acore_series(t: int, order: int) -> TruncatedSeries:
-    """Integer series counting t-core partitions: (q^t;q^t)^t / (q;q)."""
+    """Integer series counting t-core partitions: (q^t;q^t)^t / (q;q).
+
+    An order above INT_ORDER_CEILING raises OrderLimitError.
+    """
     if t < 2:
         raise ValueError("t must be at least 2")
+    _require_int_order(order)
     return series_mul(euler_product(t, t, order), euler_product(1, -1, order))
 
 

@@ -8,17 +8,19 @@ of 0.
 
 Enumeration is an iterative generator (ZS1) that rewrites one list in
 place, with no recursion.  It is deliberately capped (see
-ENUMERATION_CEILING): p(45) is 89,134 partitions and generating every
-partition of every n up to 45 (540,634 in all) takes well under a second,
-but the count grows subexponentially and silently accepting much larger
-weights would hang the caller.  Past the ceiling an EnumerationLimitError
-is raised instead.
+ENUMERATION_CEILING): p(45) is 89,134 partitions, generated in well under
+a second, and the crank/rank verifier reaches every weight up to 45 from
+them alone (see verify._crank_rank_tallies); but the count grows
+subexponentially and silently accepting much larger weights would hang
+the caller.  Past the ceiling an EnumerationLimitError is raised instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterator, Sequence
+
+from .errors import EnumerationLimitError
 
 __all__ = [
     "ENUMERATION_CEILING",
@@ -35,10 +37,6 @@ __all__ = [
 ]
 
 ENUMERATION_CEILING = 45
-
-
-class EnumerationLimitError(ValueError):
-    """Raised when a brute-force request exceeds the enumeration ceiling."""
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,9 @@ trivial reasons and the parity statements all start at n = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, islice
 from math import isqrt
-from operator import sub
+from operator import add, sub
 from typing import Iterable
 
 from .genfun import acore_mod2_series, ptt_mod2_series, dissection_identity_check
@@ -316,22 +316,48 @@ def verify_characterization(which: str, bound: int) -> VerificationReport:
     return _report(f"{which}-characterization", rng, n, detail)
 
 
-def _crank_rank_tallies(n: int) -> tuple[int, int, int, int]:
-    # one pass over the partitions of n: how many have crank >= 0, mex_{1,1}
-    # in its counted class, rank >= -1 and mex_{3,3} in its counted class
+def _crank_rank_tallies(bound: int) -> list[tuple[int, int, int, int]]:
+    # Entry n, 1 <= n <= bound, counts the partitions of n with crank >= 0,
+    # mex_{1,1} in its counted class, rank >= -1 and mex_{3,3} in its counted
+    # class (entry 0 is all zeros), from one walk over the partitions of
+    # `bound`.  Such a partition with w ones is core + (1,)*w, where the core
+    # holds its k parts > 1 and weighs s = bound - w; it stands for the
+    # family core + (1,)*j = parts[:k + j], 0 <= j <= w, a partition of s + j.
+    # Stripping the ones is a bijection, so every partition of every n <=
+    # bound lies in exactly one family.  The core (j = 0) is tallied on its
+    # own, at s.  For j >= 1 both mex values are those of core + (1,), the
+    # rank falls by one per added one and the crank #(core parts > j) - j
+    # falls strictly, so each statistic holds on one run j = 1..J, found with
+    # one call (a walk of about sqrt(bound) calls for the crank) and recorded
+    # in a difference array.
     spec11 = MexSpec(1, 1)
     spec33 = MexSpec(3, 3)
-    crank_count = mex11_count = rank_count = mex33_count = 0
-    for parts in enumerate_partitions(n):
-        if crank(parts) >= 0:
-            crank_count += 1
-        if spec11.counts(parts):
-            mex11_count += 1
-        if rank(parts) >= -1:
-            rank_count += 1
-        if spec33.counts(parts):
-            mex33_count += 1
-    return crank_count, mex11_count, rank_count, mex33_count
+    cores = [[0] * (bound + 1) for _ in range(4)]
+    runs = [[0] * (bound + 2) for _ in range(4)]
+    crank_at, mex11_at, rank_at, mex33_at = cores
+    for parts in enumerate_partitions(bound):
+        w = parts.count(1)
+        k = len(parts) - w
+        s = bound - w
+        if k:
+            core = parts[:k]
+            crank_at[s] += crank(core) >= 0
+            mex11_at[s] += spec11.counts(core)
+            rank_at[s] += rank(core) >= -1
+            mex33_at[s] += spec33.counts(core)
+        if w:
+            one = parts[: k + 1]
+            j = 0
+            while j < w and crank(parts[: k + j + 1]) >= 0:
+                j += 1
+            mex11_top = w if spec11.counts(one) else 0
+            mex33_top = w if spec33.counts(one) else 0
+            tops = (j, mex11_top, min(w, rank(one) + 2), mex33_top)
+            for d, top in zip(runs, tops):
+                if top > 0:
+                    d[s + 1] += 1
+                    d[s + top + 1] -= 1
+    return list(zip(*(map(add, c, accumulate(d)) for c, d in zip(cores, runs))))
 
 
 def verify_crank_rank(bound: int) -> VerificationReport:
@@ -339,8 +365,12 @@ def verify_crank_rank(bound: int) -> VerificationReport:
 
     For every 1 <= n <= bound: the mex count for (1,1) equals the number
     of partitions of n with crank >= 0, and the mex count for (3,3)
-    equals the number with rank >= -1.  Each partition of n is
-    enumerated once and all four statistics are tallied in that pass.
+    equals the number with rank >= -1.  The counts for every n come from
+    one walk over the partitions of the bound itself: each one, with its
+    ones stripped, is a core of parts > 1 that together with j added ones
+    gives exactly one partition of each weight from the core's up to the
+    bound, and along that family of ones every statistic holds on a single
+    run of consecutive weights.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -349,8 +379,9 @@ def verify_crank_rank(bound: int) -> VerificationReport:
             f"crank/rank verification enumerates all partitions; bound must be <= {ENUMERATION_CEILING}"
         )
     rng = f"1 <= n <= {bound}"
+    tallies = _crank_rank_tallies(bound)
     for n in range(1, bound + 1):
-        crank_count, mex11_count, rank_count, mex33_count = _crank_rank_tallies(n)
+        crank_count, mex11_count, rank_count, mex33_count = tallies[n]
         if mex11_count != crank_count:
             return VerificationReport(
                 "crank-rank-equivalence", rng, False, n, detail="crank side mismatch"

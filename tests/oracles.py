@@ -6,10 +6,14 @@ schoolbook convolution, and the pentagonal predicate from an explicit
 search over k.  The Euler product is multiplied out one binomial
 factor at a time, independently of the pentagonal form the library uses.
 Partitions come from a recursive generator, and the crank is computed
-without assuming any order of the parts.
+without assuming any order of the parts.  The crank/rank tallies are the
+per-weight route: every partition of n goes through the library's four
+statistics, with none of the ones-family shortcuts of the verifier.
 """
 
 from __future__ import annotations
+
+from mexparity.partitions import MexSpec, crank, enumerate_partitions, rank
 
 
 def partition_counts(limit: int) -> list[int]:
@@ -111,3 +115,21 @@ def crank_unordered(parts) -> int:
     if ones == 0:
         return max(parts)
     return sum(1 for p in parts if p > ones) - ones
+
+
+def crank_rank_tallies_by_partition(n: int) -> tuple[int, int, int, int]:
+    """One pass over the partitions of n: how many have crank >= 0, mex_{1,1}
+    in its counted class, rank >= -1 and mex_{3,3} in its counted class."""
+    spec11 = MexSpec(1, 1)
+    spec33 = MexSpec(3, 3)
+    crank_count = mex11_count = rank_count = mex33_count = 0
+    for parts in enumerate_partitions(n):
+        if crank(parts) >= 0:
+            crank_count += 1
+        if spec11.counts(parts):
+            mex11_count += 1
+        if rank(parts) >= -1:
+            rank_count += 1
+        if spec33.counts(parts):
+            mex33_count += 1
+    return crank_count, mex11_count, rank_count, mex33_count

@@ -1,7 +1,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from mexparity import genfun
+from mexparity.cli import MAX_INT_LIMIT
+from mexparity.errors import LimitError, OrderLimitError
 from mexparity.genfun import (
+    INT_ORDER_CEILING,
     acore_mod2_series,
     acore_series,
     dissection_identity_check,
@@ -40,6 +44,27 @@ class TestPttSeries:
         spec = MexSpec(t, t)
         for n in range(21):
             assert series.coeff(n) == p_direct(spec, n)
+
+
+class TestIntOrderCeiling:
+    def test_ceiling_is_the_cli_cap(self):
+        assert INT_ORDER_CEILING == MAX_INT_LIMIT == 10**4
+        assert issubclass(OrderLimitError, LimitError)
+        assert issubclass(LimitError, ValueError)
+
+    @pytest.mark.parametrize("make, t", [(ptt_series, 3), (acore_series, 5)])
+    def test_past_the_ceiling_raises_before_building(self, monkeypatch, make, t):
+        def no_build(*args):
+            raise AssertionError("a series was built past the ceiling")
+
+        monkeypatch.setattr(genfun, "euler_product", no_build)
+        with pytest.raises(OrderLimitError):
+            make(t, INT_ORDER_CEILING + 1)
+
+    def test_at_the_ceiling_still_builds(self):
+        s = ptt_series(3, INT_ORDER_CEILING)
+        assert s.order == INT_ORDER_CEILING
+        assert s.coeffs[:6] == (1, 1, 2, 2, 4, 5)
 
 
 class TestPttMod2Series:

@@ -3,6 +3,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
+from mexparity.errors import LimitError
 from mexparity.partitions import (
     ENUMERATION_CEILING,
     EnumerationLimitError,
@@ -16,8 +17,8 @@ from mexparity.partitions import (
     p_direct,
     rank,
 )
-from mexparity.verify import _crank_rank_tallies
 from oracles import (
+    crank_rank_tallies_by_partition,
     crank_unordered,
     partition_counts,
     partitions_descending_reference,
@@ -72,6 +73,7 @@ class TestEnumeration:
     def test_ceiling(self):
         with pytest.raises(EnumerationLimitError):
             enumerate_partitions(ENUMERATION_CEILING + 1)
+        assert issubclass(EnumerationLimitError, LimitError)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -152,16 +154,16 @@ class TestRankCrank:
         qualifying = [p for p in enumerate_partitions(3) if crank(p) >= 0]
         assert qualifying == [(3,), (2, 1)]
         assert len(qualifying) == p_direct(MexSpec(1, 1), 3)
-        # the one-pass tallies behind verify_crank_rank
+        # the per-weight route that the one-walk tallies are checked against
         for n in range(1, 21):
-            crank_count, mex11_count, _, _ = _crank_rank_tallies(n)
+            crank_count, mex11_count, _, _ = crank_rank_tallies_by_partition(n)
             assert mex11_count == p_direct(MexSpec(1, 1), n) == crank_count, n
 
     def test_rank_equivalence_at_2(self):
         qualifying = [p for p in enumerate_partitions(2) if rank(p) >= -1]
         assert len(qualifying) == 2 == p_direct(MexSpec(3, 3), 2)
         for n in range(1, 21):
-            _, _, rank_count, mex33_count = _crank_rank_tallies(n)
+            _, _, rank_count, mex33_count = crank_rank_tallies_by_partition(n)
             assert mex33_count == p_direct(MexSpec(3, 3), n) == rank_count, n
 
     @given(partitions_of)

@@ -37,7 +37,11 @@ from mexparity.verify import (
     verify_tcore_congruences,
     verify_theorem6,
 )
-from oracles import euler_product_by_factors, pent_type_by_search
+from oracles import (
+    crank_rank_tallies_by_partition,
+    euler_product_by_factors,
+    pent_type_by_search,
+)
 
 CHECKERS = {
     "p11": lambda bound: verify_characterization("p11", bound),
@@ -166,6 +170,20 @@ class TestCrankRank:
     def test_n1_edge(self):
         # no partition of 1 qualifies on either side
         assert p_direct(MexSpec(1, 1), 1) == 0
+        # the families of (1,) and (1, 1) have an empty core, which is skipped
+        assert verify_crank_rank(1).passed
+        assert verify_crank_rank(2).passed
+
+    def test_tallies_equal_the_per_weight_route(self):
+        reference = [None] + [crank_rank_tallies_by_partition(n) for n in range(1, 31)]
+        for bound in range(1, 31):
+            tallies = verify._crank_rank_tallies(bound)
+            assert len(tallies) == bound + 1, bound
+            assert tallies[0] == (0, 0, 0, 0)
+            assert tallies[1:] == reference[1 : bound + 1], bound
+        tallies = verify._crank_rank_tallies(45)
+        for n in (43, 44, 45):
+            assert tallies[n] == crank_rank_tallies_by_partition(n), n
 
     def test_ceiling_enforced(self):
         with pytest.raises(EnumerationLimitError):
@@ -184,6 +202,16 @@ class TestCrankRank:
         report = verify_crank_rank(10)
         assert (report.passed, report.counterexample) == (False, 1)
         assert report.detail == "rank side mismatch"
+
+    @pytest.mark.parametrize("planted", [(2, 2), (3, 1)])
+    def test_one_failing_partition_is_reported(self, monkeypatch, planted):
+        # (2, 2) is a family's core (no ones added), (3, 1) the first member
+        # of the family of (3,); either one alone must unbalance n = 4
+        real = verify.crank
+        monkeypatch.setattr(verify, "crank", lambda parts: -1 if parts == planted else real(parts))
+        report = verify_crank_rank(10)
+        assert (report.passed, report.counterexample) == (False, 4)
+        assert report.detail == "crank side mismatch"
 
 
 class TestProgressionFamilies:
