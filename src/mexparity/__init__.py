@@ -14,6 +14,7 @@ from .series import (
     jacobi_cube,
     nonzero_indices,
     reduce_mod2,
+    series_div,
     series_mul,
     series_recip,
     theta_psi,

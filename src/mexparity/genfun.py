@@ -1,16 +1,15 @@
 """Named generating functions assembled from the series primitives.
 
 The central object is the weight generating function of the partition
-counts defined by the mex statistic with A = a = t (t odd): as a q-series
-it is the alternating triangular sum at step t divided by the Euler
-product (q;q)_inf.  Over GF(2) that sum is psi(q^t), so the parity series
-is R * psi(q^t) with R = 1/(q;q)_inf (by Jacobi, (q^t;q^t)^3 = psi(q^t) mod 2).
-
-The t-core counting series (q^t;q^t)_inf^t / (q;q)_inf and the
-arithmetic-progression dissection identity that links the two families
-live here as well.  Over GF(2) squaring is a dilation, so the t-core
-parity series is R times the sparse (q^(t*2^i);q^(t*2^i)) for each set
-bit i of t.  Every GF(2) product thus has a sparse factor.
+counts defined by the mex statistic with A = a = t (t odd): the
+alternating triangular sum at step t divided by the Euler product
+(q;q)_inf.  The t-core counting series is (q^t;q^t)_inf^t / (q;q)_inf;
+over the integers both are one series_div by the pentagonal-sparse
+(q;q).  The 2t-dissection identity linking the two families lives here
+too.  Over GF(2) the alternating sum is psi(q^t) (by Jacobi,
+(q^t;q^t)^3 = psi(q^t) mod 2) and squaring is a dilation, so the parity
+series multiply the memoized R = 1/(q;q)_inf by psi(q^t), or by the
+sparse (q^(t*2^i);q^(t*2^i)) for each set bit i of t.
 """
 
 from __future__ import annotations
@@ -24,8 +23,8 @@ from .series import (
     alternating_triangular,
     dissect,
     euler_product,
+    series_div,
     series_mul,
-    series_recip,
 )
 
 __all__ = [
@@ -61,13 +60,14 @@ def ptt_series(t: int, order: int) -> TruncatedSeries:
     """Integer series whose coefficient of q^n counts partitions of n with
     mex_{t,t} congruent to t mod 2t.
 
-    Computed as the alternating triangular sum at step t times the
-    reciprocal Euler product; coefficients match partitions.p_direct.
-    An order above INT_ORDER_CEILING raises OrderLimitError.
+    Computed as the alternating triangular sum at step t divided by the
+    Euler product (q;q), one back-substitution over its pentagonal terms;
+    coefficients match partitions.p_direct.  An order above
+    INT_ORDER_CEILING raises OrderLimitError.
     """
     _require_odd_t(t)
     _require_int_order(order)
-    return series_mul(euler_product(1, -1, order), alternating_triangular(t, order))
+    return series_div(alternating_triangular(t, order), euler_product(1, 1, order))
 
 
 @lru_cache(maxsize=64)
@@ -82,12 +82,13 @@ def ptt_mod2_series(t: int, order: int) -> TruncatedSeries:
 def acore_series(t: int, order: int) -> TruncatedSeries:
     """Integer series counting t-core partitions: (q^t;q^t)^t / (q;q).
 
-    An order above INT_ORDER_CEILING raises OrderLimitError.
+    One series_div of the sparse-built numerator by (q;q).  An order
+    above INT_ORDER_CEILING raises OrderLimitError.
     """
     if t < 2:
         raise ValueError("t must be at least 2")
     _require_int_order(order)
-    return series_mul(euler_product(t, t, order), euler_product(1, -1, order))
+    return series_div(euler_product(t, t, order), euler_product(1, 1, order))
 
 
 @lru_cache(maxsize=64)
@@ -119,6 +120,6 @@ def dissection_identity_check(t: int, r: int, order: int) -> bool:
         raise ValueError("order must be >= 1")
     parent_order = 2 * t * order
     lhs = dissect(ptt_mod2_series(t, parent_order), 2 * t, r)
-    prefactor = series_recip(euler_product(1, (t - 3) // 2, order, MOD2))
-    rhs = series_mul(prefactor, dissect(acore_mod2_series(t, parent_order), 2 * t, r))
+    den = euler_product(1, (t - 3) // 2, order, MOD2)
+    rhs = series_div(dissect(acore_mod2_series(t, parent_order), 2 * t, r), den)
     return lhs == rhs

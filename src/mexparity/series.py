@@ -8,14 +8,14 @@ beyond the truncation order are unknown, not zero, and asking for them is
 an error.
 
 Integer series are kept as coefficient tuples, GF(2) series as one Python
-int used as a bitmask (bit n = coefficient of q^n).  Every product the
-package builds has a sparse factor (a pentagonal or triangular series or
-a dilation of one); over GF(2) the parity series are R = 1/(q;q) times
-psi(q^t), or times one pentagonal factor per set bit of t.  So there is
-one multiplication route per domain: shift-XOR over the sparser operand
-for GF(2), a convolution over the nonzero terms for the integers.
-Reciprocals use Newton iteration over GF(2), where squaring a series is
-just a bit dilation, and sparse back-substitution over the integers.
+int used as a bitmask (bit n = coefficient of q^n).  Every product and
+quotient the package forms has a sparse side (a pentagonal or triangular
+series or a dilation of one), so there is one multiplication route per
+domain, shift-XOR over the sparser operand for GF(2) and a convolution
+over the nonzero terms for the integers, and one quotient, series_div:
+a back-substitution over the nonzero terms of the divisor for the
+integers, a product with the divisor's Newton reciprocal over GF(2),
+where squaring is a bit dilation.
 
 The module also provides constructors for the classical series this
 package is built around: the Euler product (q^s;q^s)_inf and its powers,
@@ -27,8 +27,9 @@ alternating triangular sum that generates the mex-based partition counts.
 from __future__ import annotations
 
 import enum
-from functools import lru_cache
-from itertools import count, takewhile
+from functools import lru_cache, reduce
+from itertools import count, repeat, takewhile
+from operator import index
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -38,6 +39,7 @@ __all__ = [
     "TruncatedSeries",
     "series_mul",
     "series_recip",
+    "series_div",
     "euler_product",
     "euler_pentagonal",
     "jacobi_cube",
@@ -74,7 +76,8 @@ class TruncatedSeries:
     domain: Domain
 
     def __init__(self, coeffs: Iterable[int], domain: Domain = INTEGERS):
-        data = tuple(int(c) for c in coeffs)
+        # index() takes ints and bools only: a float or a str is a TypeError
+        data = tuple(map(index, coeffs))
         if not data:
             raise ValueError("a series needs order >= 1 (at least the q^0 coefficient)")
         object.__setattr__(self, "order", len(data))
@@ -204,20 +207,28 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries._from_tuple(_int_mul(a._data, b._data, order), order)
 
 
-def series_recip(a: TruncatedSeries) -> TruncatedSeries:
-    """Multiplicative inverse: series_mul(a, result) == 1 through a.order.
-
-    The constant term must be a unit: +-1 over the integers, 1 over GF(2).
+def series_div(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:
+    """Quotient num / den, exact through min(num.order, den.order): the
+    series r with series_mul(r, den) == num.  The constant term of den
+    must be a unit: +-1 over the integers, 1 over GF(2).
     """
-    order = a.order
-    if a.domain is MOD2:
-        if (a._data & 1) != 1:
-            raise ValueError("constant term must be 1 to invert a Mod2 series")
-        return TruncatedSeries._from_bits(_gf2_recip(a._data, order), order)
-    c0 = a._data[0]
+    if num.domain is not den.domain:
+        raise ValueError(f"domain mismatch: {num.domain.value} / {den.domain.value}")
+    order = min(num.order, den.order)
+    if den.domain is MOD2:
+        if (den._data & 1) != 1:
+            raise ValueError("constant term must be 1 to divide by a Mod2 series")
+        bits = _gf2_mul(num._data, _gf2_recip(den._data, order), order)
+        return TruncatedSeries._from_bits(bits, order)
+    c0 = den._data[0]
     if c0 not in (1, -1):
-        raise ValueError(f"constant term must be +-1 to invert over the integers, got {c0}")
-    return TruncatedSeries._from_tuple(_int_recip(a._data, order), order)
+        raise ValueError(f"constant term must be +-1 to divide over the integers, got {c0}")
+    return TruncatedSeries._from_tuple(_int_div(num._data, den._data, order), order)
+
+
+def series_recip(a: TruncatedSeries) -> TruncatedSeries:
+    """Multiplicative inverse series_div(1, a): series_mul(a, result) == 1."""
+    return series_div(TruncatedSeries.one(a.order, a.domain), a)
 
 
 @lru_cache(maxsize=256)
@@ -226,20 +237,19 @@ def euler_product(step: int, power: int, order: int, domain: Domain = INTEGERS) 
 
     The base product is the pentagonal-number expansion (the terms of
     euler_pentagonal) dilated by `step`, so it has O(sqrt(order/step))
-    nonzero terms; over GF(2) their bits are set directly.
-    Positive powers are then assembled by binary exponentiation, where
-    every GF(2) squaring is a dilation that stays sparse, and negative
-    powers go through series_recip.  power = 0 gives the identity series.
+    nonzero terms; over GF(2) their bits are set directly.  |power| is
+    formed by repeated multiplication with that sparse base, a negative
+    power is its reciprocal, and power = 0 gives the identity series.
     The literal product of binomial factors is kept out of this path; it
     serves as the independent oracle of verify.verify_series_identities.
     """
     if step < 1:
         raise ValueError("step must be a positive integer")
     base = _from_terms(((step * e, c) for e, c in _pentagonal_terms()), order, domain)
-    result = _series_pow(base, abs(power))
-    if power < 0:
-        result = series_recip(result)
-    return result
+    if power == 0:
+        return TruncatedSeries.one(order, domain)
+    result = reduce(series_mul, repeat(base, abs(power) - 1), base)
+    return series_recip(result) if power < 0 else result
 
 
 def euler_pentagonal(order: int) -> TruncatedSeries:
@@ -338,21 +348,6 @@ def reduce_mod2(s: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries._from_bits(bits, s.order)
 
 
-def _series_pow(base: TruncatedSeries, exponent: int) -> TruncatedSeries:
-    if exponent == 0:
-        return TruncatedSeries.one(base.order, base.domain)
-    result = None
-    sq = base
-    e = exponent
-    while True:
-        if e & 1:
-            result = sq if result is None else series_mul(result, sq)
-        e >>= 1
-        if not e:
-            return result
-        sq = series_mul(sq, sq)
-
-
 # ---------------------------------------------------------------------------
 # GF(2) kernels: a series is one int, bit n = coefficient of q^n
 # ---------------------------------------------------------------------------
@@ -399,8 +394,6 @@ def _gf2_mul(a: int, b: int, order: int) -> int:
     b &= mask
     if a == 0 or b == 0:
         return 0
-    if a == b:
-        return _gf2_dilate(a) & mask
     if b.bit_count() < a.bit_count():
         a, b = b, a
     acc = 0
@@ -442,18 +435,17 @@ def _int_mul(a: Sequence[int], b: Sequence[int], order: int) -> tuple[int, ...]:
     return tuple(acc)
 
 
-def _int_recip(a: Sequence[int], order: int) -> tuple[int, ...]:
-    # back-substitution over the nonzero terms of a; with a unit constant
-    # term c0 the update is r[n] = -c0 * sum_{k>=1} a[k] r[n-k]
-    c0 = a[0]
-    nz = [(k, v) for k, v in enumerate(a[:order]) if v and k >= 1]
+def _int_div(num: Sequence[int], den: Sequence[int], order: int) -> tuple[int, ...]:
+    # back-substitution over the nonzero terms of den; with a unit constant
+    # term c0 = 1/c0 the update is r[n] = c0 * (num[n] - sum_{k>=1} den[k] r[n-k])
+    c0 = den[0]
+    nz = [(k, v) for k, v in enumerate(den[:order]) if v and k >= 1]
     r = [0] * order
-    r[0] = c0
-    for n in range(1, order):
-        s = 0
+    for n in range(order):
+        s = num[n]
         for k, v in nz:
             if k > n:
                 break
-            s += v * r[n - k]
-        r[n] = -s if c0 == 1 else s
+            s -= v * r[n - k]
+        r[n] = s if c0 == 1 else -s
     return tuple(r)

@@ -5,12 +5,12 @@ VerificationReport carrying the range, a pass flag and, on failure, the
 first counterexample: the smallest failing index in the first family (in
 the checker's stated order) that fails.  A sweep over indices below an
 exclusive bound needs bound >= 2, so that index 1 is in range; a smaller
-bound is a ValueError, never a vacuous pass.  Nothing here proves
-anything: a passing report means "no counterexample below the stated
-bound", full stop.  The scanner makes that explicit by emitting
-CongruenceClaim records that are refuted (with a witness),
-verified-to-bound, or unchecked when the window held no index of the
-class.
+bound, like an empty list of families, is a ValueError, never a vacuous
+pass.  Nothing here proves anything: a passing report means "no
+counterexample below the stated bound", full stop.  The scanner makes
+that explicit by emitting CongruenceClaim records that are refuted (with
+a witness), verified-to-bound, or unchecked when the window held no
+index of the class.
 
 Index 0 is excluded from every congruence sweep: the weight-0 count is 1
 (the empty partition always qualifies), so its coefficient is odd for
@@ -405,6 +405,8 @@ def verify_qnr_families(which: str, primes: tuple[int, ...], bound: int) -> Veri
     For each prime p and each residue r picked out by qnr_residues, every
     index pn + r below the bound must carry an even coefficient.
     """
+    if not primes:
+        raise ValueError("primes must be non-empty so that some family is checked")
     t = 1 if _characterization_shift(which) == 12 else 3
     s = ptt_mod2_series(t, _checked_bound(bound))
     families = ((s, p, qnr_residues(which, p), "") for p in sorted(primes))
@@ -512,6 +514,8 @@ def verify_series_identities(order: int) -> list[VerificationReport]:
 
 def verify_dissection_identities(ts: tuple[int, ...], order: int) -> VerificationReport:
     """Run dissection_identity_check for every residue r < 2t, t in ts."""
+    if not ts:
+        raise ValueError("ts must be non-empty so that some residue class is checked")
     rng = f"t in {sorted(ts)}, r < 2t, order {order}"
     for t in sorted(ts):
         for r in range(2 * t):

@@ -50,15 +50,20 @@ def euler_product_by_factors(step: int, order: int) -> list[int]:
     return out
 
 
-def product_form_mod2(step: int, power: int, order: int) -> list[int]:
-    """(q^step;q^step)^power / (q;q) reduced mod 2: the partition counts
+def product_form(step: int, power: int, order: int) -> list[int]:
+    """(q^step;q^step)^power / (q;q) over the integers: the partition counts
     (the coefficients of 1/(q;q)) times the factor-by-factor product,
     `power` times over."""
     base = euler_product_by_factors(step, order)
     out = partition_counts(order)
     for _ in range(power):
-        out = [c % 2 for c in schoolbook_mul(base, out, order)]
+        out = schoolbook_mul(base, out, order)
     return out
+
+
+def product_form_mod2(step: int, power: int, order: int) -> list[int]:
+    """product_form reduced mod 2."""
+    return [c % 2 for c in product_form(step, power, order)]
 
 
 def gf2_schoolbook_mul(abits: int, bbits: int, order: int) -> int:

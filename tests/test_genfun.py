@@ -14,7 +14,7 @@ from mexparity.genfun import (
 )
 from mexparity.partitions import MexSpec, a_t_direct, p_direct
 from mexparity.series import reduce_mod2
-from oracles import product_form_mod2
+from oracles import product_form, product_form_mod2
 
 
 class TestPttSeries:
@@ -66,6 +66,9 @@ class TestIntOrderCeiling:
         assert s.order == INT_ORDER_CEILING
         assert s.coeffs[:6] == (1, 1, 2, 2, 4, 5)
 
+    def test_tcore_at_the_ceiling_agrees_with_mod2_route(self):
+        assert reduce_mod2(acore_series(2, INT_ORDER_CEILING)) == acore_mod2_series(2, INT_ORDER_CEILING)
+
 
 class TestPttMod2Series:
     def test_t1_lacunary_positions(self):
@@ -103,6 +106,11 @@ class TestMod2ProductForms:
 
 
 class TestAcoreSeries:
+    @given(st.integers(2, 25), st.integers(1, 300))
+    def test_matches_power_product(self, t, order):
+        # (q^t;q^t)^t / (q;q) multiplied out literally, over the integers
+        assert list(acore_series(t, order).coeffs) == product_form(t, t, order)
+
     def test_t3_prefix(self):
         assert acore_series(3, 4).coeffs == (1, 1, 2, 0)
 

@@ -12,6 +12,7 @@ from mexparity.series import (
     jacobi_cube,
     nonzero_indices,
     reduce_mod2,
+    series_div,
     series_mul,
     series_recip,
     theta_psi,
@@ -44,6 +45,19 @@ class TestConstruction:
     def test_mod2_coefficients_validated(self):
         with pytest.raises(ValueError):
             TruncatedSeries([1, 2], MOD2)
+
+    @pytest.mark.parametrize("domain", [INTEGERS, MOD2])
+    @pytest.mark.parametrize("coeffs", [[0.5, 1.7], [1.9, 0.2], [1.0, 0.0], ["1", "0"], [1, "0"]])
+    def test_non_integer_coefficients_rejected(self, domain, coeffs):
+        # no silent truncation of floats, no parsing of strings
+        with pytest.raises(TypeError):
+            TruncatedSeries(coeffs, domain)
+
+    @pytest.mark.parametrize("domain", [INTEGERS, MOD2])
+    def test_ints_and_bools_build(self, domain):
+        assert TruncatedSeries([1, 0, 1], domain).coeffs == (1, 0, 1)
+        assert TruncatedSeries([True, False, True], domain).coeffs == (1, 0, 1)
+        assert TruncatedSeries([-3, 2**70]).coeffs == (-3, 2**70)
 
     def test_coeff_outside_window_is_an_error(self):
         s = TruncatedSeries([1, 2, 3])
@@ -148,6 +162,47 @@ class TestRecip:
     def test_mod2_roundtrip(self, tail):
         a = TruncatedSeries([1] + tail, MOD2)
         assert series_mul(a, series_recip(a)) == TruncatedSeries.one(a.order, MOD2)
+
+
+class TestDiv:
+    def test_partition_numbers_times_numerator(self):
+        # (1 - q) / (q;q) counts partitions with no part 1: p(n) - p(n-1)
+        got = series_div(TruncatedSeries([1, -1] + [0] * 9), euler_product(1, 1, 11))
+        assert got.coeffs == (1, 0, 1, 1, 2, 2, 4, 4, 7, 8, 12)
+
+    def test_order_is_min(self):
+        assert series_div(TruncatedSeries([1] * 7), TruncatedSeries([1] * 4)).order == 4
+        assert series_div(TruncatedSeries([1] * 3), TruncatedSeries([1] * 9)).order == 3
+
+    def test_recip_is_division_of_one(self):
+        a = euler_product(2, 3, 40)
+        assert series_recip(a) == series_div(TruncatedSeries.one(40), a)
+
+    def test_domain_mismatch(self):
+        with pytest.raises(ValueError):
+            series_div(TruncatedSeries([1, 1]), TruncatedSeries([1, 1], MOD2))
+
+    def test_non_unit_rejected(self):
+        with pytest.raises(ValueError):
+            series_div(TruncatedSeries([1, 1]), TruncatedSeries([2, 1]))
+        with pytest.raises(ValueError):
+            series_div(TruncatedSeries([1, 1], MOD2), TruncatedSeries([0, 1], MOD2))
+
+    @given(st.data(), st.integers(1, 200), st.sampled_from([1, -1]))
+    def test_times_denominator_gives_numerator(self, data, order, unit):
+        num = data.draw(st.lists(st.integers(-99, 99), min_size=order, max_size=order))
+        tail = data.draw(st.lists(st.integers(-9, 9), min_size=order - 1, max_size=order - 1))
+        den = [unit] + tail
+        got = series_div(TruncatedSeries(num), TruncatedSeries(den))
+        assert schoolbook_mul(got.coeffs, den, order) == num
+
+    @given(st.data(), st.integers(1, 200))
+    def test_mod2_times_denominator_gives_numerator(self, data, order):
+        num = TruncatedSeries(data.draw(st.lists(st.integers(0, 1), min_size=order, max_size=order)), MOD2)
+        tail = data.draw(st.lists(st.integers(0, 1), min_size=order - 1, max_size=order - 1))
+        den = TruncatedSeries([1] + tail, MOD2)
+        got = series_div(num, den)
+        assert gf2_schoolbook_mul(got.bits, den.bits, order) == num.bits
 
 
 class TestEulerProduct:

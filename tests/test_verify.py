@@ -293,6 +293,24 @@ class TestSweepContract:
         report = verify_theorem6(97)
         assert (report.counterexample, report.detail) == (96, "odd count at index 96 = 10n + 6 (t=5)")
 
+    def test_qnr_with_no_primes_is_rejected(self, monkeypatch):
+        # no prime means no family: that checks nothing and must not pass
+        def no_build(t, order):
+            raise AssertionError("a series was built for an empty sweep")
+
+        monkeypatch.setattr(verify, "ptt_mod2_series", no_build)
+        for which in ("p11", "p33"):
+            with pytest.raises(ValueError):
+                verify_qnr_families(which, (), 1000)
+
+    def test_dissection_with_no_t_is_rejected(self, monkeypatch):
+        def no_check(t, r, order):
+            raise AssertionError("a residue was checked for an empty sweep")
+
+        monkeypatch.setattr(verify, "dissection_identity_check", no_check)
+        with pytest.raises(ValueError):
+            verify_dissection_identities((), 50)
+
     def test_tcore_reports_first_counterexample(self, monkeypatch):
         monkeypatch.setattr(verify, "acore_mod2_series", planted({7: {0, 23, 13}}))
         report = verify_tcore_congruences(100)
