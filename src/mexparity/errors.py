@@ -5,6 +5,8 @@ the size it accepts; a request past it fails at once with a LimitError
 (a ValueError) instead of running for minutes.
 """
 
+__all__ = ["LimitError", "EnumerationLimitError", "OrderLimitError"]
+
 
 class LimitError(ValueError):
     """A request exceeds a ceiling that keeps it within time and memory."""

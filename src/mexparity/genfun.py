@@ -5,11 +5,14 @@ counts defined by the mex statistic with A = a = t (t odd): the
 alternating triangular sum at step t divided by the Euler product
 (q;q)_inf.  The t-core counting series is (q^t;q^t)_inf^t / (q;q)_inf;
 over the integers both are one series_div by the pentagonal-sparse
-(q;q).  The 2t-dissection identity linking the two families lives here
-too.  Over GF(2) the alternating sum is psi(q^t) (by Jacobi,
+(q;q).  Over GF(2) the alternating sum is psi(q^t) (by Jacobi,
 (q^t;q^t)^3 = psi(q^t) mod 2) and squaring is a dilation, so the parity
 series multiply the memoized R = 1/(q;q)_inf by psi(q^t), or by the
-sparse (q^(t*2^i);q^(t*2^i)) for each set bit i of t.
+sparse (q^(t*2^i);q^(t*2^i)) for each set bit i of t.  The
+2t-dissection identity linking the two families is checked here as a
+product: each 2t-slice of the parity series times (q;q)^((t-3)/2) is
+the same slice of the t-core parity series, so the check forms no
+reciprocal of its own.
 """
 
 from __future__ import annotations
@@ -106,7 +109,7 @@ def dissection_identity_check(t: int, r: int, order: int) -> bool:
 
     For odd t >= 3 and 0 <= r < 2t, the parity series satisfies
 
-        dissect(ptt_mod2, 2t, r) == dissect(acore_mod2, 2t, r) / (q;q)^((t-3)/2)
+        dissect(ptt_mod2, 2t, r) * (q;q)^((t-3)/2) == dissect(acore_mod2, 2t, r)
 
     coefficientwise.  This routine verifies the first `order` coefficients
     of both sides and returns True on exact agreement.  t = 1 and even t
@@ -116,10 +119,9 @@ def dissection_identity_check(t: int, r: int, order: int) -> bool:
         raise ValueError(f"the dissection identity needs odd t >= 3, got {t}")
     if not 0 <= r < 2 * t:
         raise ValueError(f"residue must satisfy 0 <= r < {2 * t}, got {r}")
-    if order < 1:
-        raise ValueError("order must be >= 1")
     parent_order = 2 * t * order
-    lhs = dissect(ptt_mod2_series(t, parent_order), 2 * t, r)
-    den = euler_product(1, (t - 3) // 2, order, MOD2)
-    rhs = series_div(dissect(acore_mod2_series(t, parent_order), 2 * t, r), den)
-    return lhs == rhs
+    lhs = series_mul(
+        dissect(ptt_mod2_series(t, parent_order), 2 * t, r),
+        euler_product(1, (t - 3) // 2, order, MOD2),
+    )
+    return lhs == dissect(acore_mod2_series(t, parent_order), 2 * t, r)

@@ -99,38 +99,23 @@ class TruncatedSeries:
     # -- alternate constructors -------------------------------------------
 
     @classmethod
-    def _from_bits(cls, bits: int, order: int) -> "TruncatedSeries":
-        # trusted internal path: bits must already be < 2**order
+    def _make(cls, data, order: int, domain: Domain) -> "TruncatedSeries":
+        # trusted internal path: a MOD2 bitmask < 2**order or an INTEGERS
+        # tuple of length order
         self = object.__new__(cls)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "domain", MOD2)
-        object.__setattr__(self, "_data", bits)
-        return self
-
-    @classmethod
-    def _from_tuple(cls, data: tuple, order: int) -> "TruncatedSeries":
-        self = object.__new__(cls)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "domain", INTEGERS)
+        object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "_data", data)
         return self
 
     @classmethod
     def one(cls, order: int, domain: Domain = INTEGERS) -> "TruncatedSeries":
         """The multiplicative identity 1, truncated at `order`."""
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        if domain is MOD2:
-            return cls._from_bits(1, order)
-        return cls._from_tuple((1,) + (0,) * (order - 1), order)
+        return _from_terms(((0, 1),), order, domain)
 
     @classmethod
     def zero(cls, order: int, domain: Domain = INTEGERS) -> "TruncatedSeries":
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        if domain is MOD2:
-            return cls._from_bits(0, order)
-        return cls._from_tuple((0,) * order, order)
+        return _from_terms((), order, domain)
 
     # -- coefficient access ------------------------------------------------
 
@@ -202,9 +187,8 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     if a.domain is not b.domain:
         raise ValueError(f"domain mismatch: {a.domain.value} * {b.domain.value}")
     order = min(a.order, b.order)
-    if a.domain is MOD2:
-        return TruncatedSeries._from_bits(_gf2_mul(a._data, b._data, order), order)
-    return TruncatedSeries._from_tuple(_int_mul(a._data, b._data, order), order)
+    mul = _gf2_mul if a.domain is MOD2 else _int_mul
+    return TruncatedSeries._make(mul(a._data, b._data, order), order, a.domain)
 
 
 def series_div(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:
@@ -219,11 +203,11 @@ def series_div(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:
         if (den._data & 1) != 1:
             raise ValueError("constant term must be 1 to divide by a Mod2 series")
         bits = _gf2_mul(num._data, _gf2_recip(den._data, order), order)
-        return TruncatedSeries._from_bits(bits, order)
+        return TruncatedSeries._make(bits, order, MOD2)
     c0 = den._data[0]
     if c0 not in (1, -1):
         raise ValueError(f"constant term must be +-1 to divide over the integers, got {c0}")
-    return TruncatedSeries._from_tuple(_int_div(num._data, den._data, order), order)
+    return TruncatedSeries._make(_int_div(num._data, den._data, order), order, INTEGERS)
 
 
 def series_recip(a: TruncatedSeries) -> TruncatedSeries:
@@ -306,11 +290,11 @@ def _from_terms(
     window = list(takewhile(lambda term: term[0] < order, terms))
     if domain is MOD2:
         bits = _bits_of((e for e, c in window if c & 1), order)
-        return TruncatedSeries._from_bits(bits, order)
+        return TruncatedSeries._make(bits, order, MOD2)
     c = [0] * order
     for e, v in window:
         c[e] = v
-    return TruncatedSeries._from_tuple(tuple(c), order)
+    return TruncatedSeries._make(tuple(c), order, INTEGERS)
 
 
 def dissect(s: TruncatedSeries, modulus: int, residue: int) -> TruncatedSeries:
@@ -331,13 +315,10 @@ def dissect(s: TruncatedSeries, modulus: int, residue: int) -> TruncatedSeries:
             f"progression {modulus}n + {residue}"
         )
     if s.domain is MOD2:
-        picked = (
-            (i - residue) // modulus
-            for i in _iter_bits(s._data)
-            if i >= residue and (i - residue) % modulus == 0
-        )
-        return TruncatedSeries._from_bits(_bits_of(picked, new_order), new_order)
-    return TruncatedSeries._from_tuple(s._data[residue::modulus], new_order)
+        # the same slice as the integer path, over the bits as a q^0-first string
+        digits = format(s._data, f"0{s.order}b")[::-1][residue::modulus]
+        return TruncatedSeries._make(int(digits[::-1], 2), new_order, MOD2)
+    return TruncatedSeries._make(s._data[residue::modulus], new_order, INTEGERS)
 
 
 def reduce_mod2(s: TruncatedSeries) -> TruncatedSeries:
@@ -345,7 +326,7 @@ def reduce_mod2(s: TruncatedSeries) -> TruncatedSeries:
     if s.domain is not INTEGERS:
         raise ValueError("reduce_mod2 expects an Integers-domain series")
     bits = _bits_of((i for i, c in enumerate(s._data) if c & 1), s.order)
-    return TruncatedSeries._from_bits(bits, s.order)
+    return TruncatedSeries._make(bits, s.order, MOD2)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from typing import Iterable
 from .genfun import acore_mod2_series, ptt_mod2_series, dissection_identity_check
 from .partitions import (
     ENUMERATION_CEILING,
-    EnumerationLimitError,
     MexSpec,
     crank,
     enumerate_partitions,
@@ -278,7 +277,7 @@ def _first_odd(s: TruncatedSeries, modulus: int, residues: Iterable[int]) -> int
     return (hits & -hits).bit_length() - 1 if hits else None
 
 
-def _report(theorem_id: str, rng: str, witness: int | None, detail: str) -> VerificationReport:
+def _report(theorem_id: str, rng: str, witness: int | None, detail: str = "") -> VerificationReport:
     if witness is None:
         return VerificationReport(theorem_id, rng, True)
     return VerificationReport(theorem_id, rng, False, witness, detail=detail)
@@ -292,7 +291,7 @@ def _sweep(theorem_id: str, rng: str, families: Iterable, what: str = "") -> Ver
         if n is not None:
             where = f"{modulus}n + {n % modulus}{note}"
             return _report(theorem_id, rng, n, f"odd {what}count at index {n} = {where}")
-    return _report(theorem_id, rng, None, "")
+    return _report(theorem_id, rng, None)
 
 
 def verify_characterization(which: str, bound: int) -> VerificationReport:
@@ -310,7 +309,7 @@ def verify_characterization(which: str, bound: int) -> VerificationReport:
     bits = ptt_mod2_series(1 if shift == 12 else 3, bound).bits
     diff = (bits ^ predicted) & ~1
     if not diff:
-        return _report(f"{which}-characterization", rng, None, "")
+        return _report(f"{which}-characterization", rng, None)
     n = (diff & -diff).bit_length() - 1
     detail = f"parity {bits >> n & 1} but predicate says {bool(predicted >> n & 1)}"
     return _report(f"{which}-characterization", rng, n, detail)
@@ -329,13 +328,15 @@ def _crank_rank_tallies(bound: int) -> list[tuple[int, int, int, int]]:
     # rank falls by one per added one and the crank #(core parts > j) - j
     # falls strictly, so each statistic holds on one run j = 1..J, found with
     # one call (a walk of about sqrt(bound) calls for the crank) and recorded
-    # in a difference array.
+    # in a difference array.  The enumeration is started first, so a bound
+    # past its ceiling fails before any table is allocated.
+    walk = enumerate_partitions(bound)
     spec11 = MexSpec(1, 1)
     spec33 = MexSpec(3, 3)
     cores = [[0] * (bound + 1) for _ in range(4)]
     runs = [[0] * (bound + 2) for _ in range(4)]
     crank_at, mex11_at, rank_at, mex33_at = cores
-    for parts in enumerate_partitions(bound):
+    for parts in walk:
         w = parts.count(1)
         k = len(parts) - w
         s = bound - w
@@ -370,27 +371,20 @@ def verify_crank_rank(bound: int) -> VerificationReport:
     ones stripped, is a core of parts > 1 that together with j added ones
     gives exactly one partition of each weight from the core's up to the
     bound, and along that family of ones every statistic holds on a single
-    run of consecutive weights.
+    run of consecutive weights.  A bound past ENUMERATION_CEILING raises
+    the enumeration's EnumerationLimitError.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    if bound > ENUMERATION_CEILING:
-        raise EnumerationLimitError(
-            f"crank/rank verification enumerates all partitions; bound must be <= {ENUMERATION_CEILING}"
-        )
     rng = f"1 <= n <= {bound}"
     tallies = _crank_rank_tallies(bound)
     for n in range(1, bound + 1):
         crank_count, mex11_count, rank_count, mex33_count = tallies[n]
         if mex11_count != crank_count:
-            return VerificationReport(
-                "crank-rank-equivalence", rng, False, n, detail="crank side mismatch"
-            )
+            return _report("crank-rank-equivalence", rng, n, "crank side mismatch")
         if mex33_count != rank_count:
-            return VerificationReport(
-                "crank-rank-equivalence", rng, False, n, detail="rank side mismatch"
-            )
-    return VerificationReport("crank-rank-equivalence", rng, True)
+            return _report("crank-rank-equivalence", rng, n, "rank side mismatch")
+    return _report("crank-rank-equivalence", rng, None)
 
 
 def verify_odd_progression(bound: int) -> VerificationReport:
@@ -459,13 +453,11 @@ def verify_tcore_congruences(bound: int) -> VerificationReport:
 def _series_match_report(theorem_id: str, lhs: TruncatedSeries, rhs: TruncatedSeries, bound: int) -> VerificationReport:
     rng = f"0 <= n < {bound}"
     if lhs == rhs:
-        return VerificationReport(theorem_id, rng, True)
+        return _report(theorem_id, rng, None)
     a = lhs.coeffs
     b = rhs.coeffs
     n = next(i for i in range(min(len(a), len(b))) if a[i] != b[i])
-    return VerificationReport(
-        theorem_id, rng, False, n, detail=f"coefficients differ at q^{n}: {a[n]} vs {b[n]}"
-    )
+    return _report(theorem_id, rng, n, f"coefficients differ at q^{n}: {a[n]} vs {b[n]}")
 
 
 def _literal_euler_product(order: int) -> TruncatedSeries:
@@ -481,7 +473,9 @@ def _literal_euler_product(order: int) -> TruncatedSeries:
 
 def _at_q_squared(s: TruncatedSeries) -> TruncatedSeries:
     # s(q^2) through the order of s: coefficient 2j is s_j, j < ceil(order/2)
-    return TruncatedSeries(0 if i % 2 else s.coeffs[i // 2] for i in range(s.order))
+    c = [0] * s.order
+    c[::2] = s.coeffs[: (s.order + 1) // 2]
+    return TruncatedSeries(c)
 
 
 def verify_series_identities(order: int) -> list[VerificationReport]:
@@ -520,10 +514,8 @@ def verify_dissection_identities(ts: tuple[int, ...], order: int) -> Verificatio
     for t in sorted(ts):
         for r in range(2 * t):
             if not dissection_identity_check(t, r, order):
-                return VerificationReport(
-                    "dissection-identity", rng, False, r, detail=f"residue {r} fails for t={t}"
-                )
-    return VerificationReport("dissection-identity", rng, True)
+                return _report("dissection-identity", rng, r, f"residue {r} fails for t={t}")
+    return _report("dissection-identity", rng, None)
 
 
 def scan_congruences(t: int, modulus: int, bound: int) -> list[CongruenceClaim]:

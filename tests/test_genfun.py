@@ -13,7 +13,8 @@ from mexparity.genfun import (
     ptt_series,
 )
 from mexparity.partitions import MexSpec, a_t_direct, p_direct
-from mexparity.series import reduce_mod2
+from mexparity.series import MOD2, TruncatedSeries, reduce_mod2
+from mexparity.verify import verify_dissection_identities
 from oracles import product_form, product_form_mod2
 
 
@@ -167,3 +168,37 @@ class TestDissectionIdentity:
     def test_rejects_out_of_range_residue(self):
         with pytest.raises(ValueError):
             dissection_identity_check(5, 10, 10)
+
+
+def _plant_tcore_bit(monkeypatch, planted_t, index):
+    # the t-core parity series of planted_t with its coefficient at `index`
+    # flipped, so exactly one residue class of the identity breaks
+    original = genfun.acore_mod2_series
+
+    def planted(t, order):
+        s = original(t, order)
+        if t != planted_t:
+            return s
+        c = list(s.coeffs)
+        c[index] ^= 1
+        return TruncatedSeries(c, MOD2)
+
+    monkeypatch.setattr(genfun, "acore_mod2_series", planted)
+
+
+class TestDissectionPlantedBit:
+    ORDER = 30
+
+    @pytest.mark.parametrize("t, r, n", [(3, 2, 0), (5, 0, 0), (5, 9, 29), (7, 4, 11), (7, 13, 29)])
+    def test_check_fails_in_exactly_the_planted_class(self, monkeypatch, t, r, n):
+        _plant_tcore_bit(monkeypatch, t, 2 * t * n + r)
+        results = [dissection_identity_check(t, s, self.ORDER) for s in range(2 * t)]
+        assert results == [s != r for s in range(2 * t)]
+
+    @pytest.mark.parametrize("t, r", [(5, 6), (7, 9)])
+    def test_sweep_reports_the_planted_class(self, monkeypatch, t, r):
+        _plant_tcore_bit(monkeypatch, t, 2 * t * 17 + r)
+        report = verify_dissection_identities((5, 7), self.ORDER)
+        assert not report.passed
+        assert report.counterexample == r
+        assert report.detail == f"residue {r} fails for t={t}"

@@ -186,8 +186,10 @@ class TestCrankRank:
             assert tallies[n] == crank_rank_tallies_by_partition(n), n
 
     def test_ceiling_enforced(self):
-        with pytest.raises(EnumerationLimitError):
-            verify_crank_rank(46)
+        # a huge bound must fail at the ceiling, before any per-weight table
+        for bound in (46, 10**15):
+            with pytest.raises(EnumerationLimitError):
+                verify_crank_rank(bound)
 
     def test_crank_side_failure_is_reported(self, monkeypatch):
         # no crank >= 0 anywhere, while p_{1,1}(1) = 0 and p_{1,1}(2) = 1
