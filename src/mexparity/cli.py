@@ -9,7 +9,8 @@ JSON lines or CSV, and the same invocation always produces
 byte-identical output.
 
 Exit codes: 0 success (all checks passed), 1 a verification found a
-counterexample, 2 usage error.
+counterexample, 2 usage error, including a limit past one of the
+ceilings that keep a request within time and memory.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from collections.abc import Iterable, Iterator
 import click
 
 from . import genfun, verify
+from .errors import LimitError
 from .series import MOD2, TruncatedSeries
 
-MAX_INT_LIMIT = genfun.INT_ORDER_CEILING
 CHUNK = 1 << 14  # rows per chunk that `compute` renders and writes at a time
 
 _COLUMNS = {
@@ -128,7 +129,17 @@ _out_option = click.option(
 )
 
 
-@click.group()
+class _Group(click.Group):
+    # every subcommand's LimitError, whose message names the ceiling, is a
+    # usage error (exit 2)
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except LimitError as exc:
+            raise click.UsageError(str(exc)) from exc
+
+
+@click.group(cls=_Group)
 def main():
     """Partition-parity toolkit: exact q-series, enumeration oracles and
     congruence verification for mex-defined partition counts."""
@@ -147,10 +158,6 @@ def compute(t: int, limit: int, mod2: bool | None, fmt: str, out: str | None):
     """Print the count (or its parity) for every weight 0 <= n < limit."""
     if mod2 is None:
         mod2 = t >= 5
-    if not mod2 and limit > MAX_INT_LIMIT:
-        raise click.UsageError(
-            f"--int is capped at limit {MAX_INT_LIMIT}; use --mod2 for larger sweeps"
-        )
     series = genfun.ptt_mod2_series(t, limit) if mod2 else genfun.ptt_series(t, limit)
     _emit(_coefficient_chunks(t, series, fmt), out)
 

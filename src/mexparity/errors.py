@@ -1,6 +1,6 @@
 """Typed errors for requests that would exhaust time or memory.
 
-Each brute-force enumeration and exact-integer series has a ceiling on
+Each brute-force enumeration and each series domain has a ceiling on
 the size it accepts; a request past it fails at once with a LimitError
 (a ValueError) instead of running for minutes.
 """
@@ -17,4 +17,4 @@ class EnumerationLimitError(LimitError):
 
 
 class OrderLimitError(LimitError):
-    """Raised when an integer series request exceeds the order ceiling."""
+    """Raised when a series request exceeds its domain's order ceiling."""

@@ -32,6 +32,7 @@ from .series import (
 
 __all__ = [
     "INT_ORDER_CEILING",
+    "MOD2_ORDER_CEILING",
     "ptt_series",
     "ptt_mod2_series",
     "acore_series",
@@ -43,6 +44,9 @@ __all__ = [
 # largest order ptt_series and acore_series accept: their cost grows as about
 # order^1.5, so a library call at order 10^6 would run for minutes
 INT_ORDER_CEILING = 10**4
+# largest order of the GF(2) series: the parity catalog peaks at 113 MiB at
+# order 10^7, so 10^8 is about 1.1 GiB
+MOD2_ORDER_CEILING = 10**8
 
 
 def _require_odd_t(t: int) -> None:
@@ -56,6 +60,11 @@ def _require_int_order(order: int) -> None:
             f"integer series order {order} exceeds the ceiling {INT_ORDER_CEILING}; "
             "use the mod-2 series for larger orders"
         )
+
+
+def _require_mod2_order(order: int) -> None:
+    if order > MOD2_ORDER_CEILING:
+        raise OrderLimitError(f"mod-2 series order {order} exceeds the ceiling {MOD2_ORDER_CEILING}")
 
 
 @lru_cache(maxsize=64)
@@ -76,8 +85,10 @@ def ptt_series(t: int, order: int) -> TruncatedSeries:
 @lru_cache(maxsize=64)
 def ptt_mod2_series(t: int, order: int) -> TruncatedSeries:
     """Parity of ptt_series: the same formula over GF(2), where the
-    alternating triangular sum is psi(q^t).  Even t is rejected."""
+    alternating triangular sum is psi(q^t).  Even t is rejected, and an
+    order above MOD2_ORDER_CEILING raises OrderLimitError."""
     _require_odd_t(t)
+    _require_mod2_order(order)
     return series_mul(euler_product(1, -1, order, MOD2), alternating_triangular(t, order, MOD2))
 
 
@@ -97,9 +108,11 @@ def acore_series(t: int, order: int) -> TruncatedSeries:
 @lru_cache(maxsize=64)
 def acore_mod2_series(t: int, order: int) -> TruncatedSeries:
     """Parity of the t-core counts over GF(2): 1/(q;q) times one factor
-    (q^(t*2^i);q^(t*2^i)) per set bit i of t, which is (q^t;q^t)^t mod 2."""
+    (q^(t*2^i);q^(t*2^i)) per set bit i of t, which is (q^t;q^t)^t mod 2.
+    An order above MOD2_ORDER_CEILING raises OrderLimitError."""
     if t < 2:
         raise ValueError("t must be at least 2")
+    _require_mod2_order(order)
     factors = (euler_product(t << i, 1, order, MOD2) for i in range(t.bit_length()) if t >> i & 1)
     return reduce(series_mul, factors, euler_product(1, -1, order, MOD2))
 

@@ -6,11 +6,12 @@ first counterexample: the smallest failing index in the first family (in
 the checker's stated order) that fails.  A sweep over indices below an
 exclusive bound needs bound >= 2, so that index 1 is in range; a smaller
 bound, like an empty list of families, is a ValueError, never a vacuous
-pass.  Nothing here proves anything: a passing report means "no
-counterexample below the stated bound", full stop.  The scanner makes
-that explicit by emitting CongruenceClaim records that are refuted (with
-a witness), verified-to-bound, or unchecked when the window held no
-index of the class.
+pass.  A bound above genfun.MOD2_ORDER_CEILING raises OrderLimitError
+before anything is built.  Nothing here proves anything: a passing
+report means "no counterexample below the stated bound", full stop.  The
+scanner makes that explicit by emitting CongruenceClaim records that are
+refuted (with a witness), verified-to-bound, or unchecked when the window
+held no index of the class.
 
 Index 0 is excluded from every congruence sweep: the weight-0 count is 1
 (the empty partition always qualifies), so its coefficient is odd for
@@ -25,7 +26,12 @@ from math import isqrt
 from operator import add, sub
 from typing import Iterable
 
-from .genfun import acore_mod2_series, ptt_mod2_series, dissection_identity_check
+from .genfun import (
+    _require_mod2_order,
+    acore_mod2_series,
+    dissection_identity_check,
+    ptt_mod2_series,
+)
 from .partitions import (
     ENUMERATION_CEILING,
     MexSpec,
@@ -79,8 +85,9 @@ THEOREM6_RESIDUES: dict[int, tuple[int, ...]] = {
 }
 
 DEFAULT_QNR_PRIMES = (5, 7, 11, 13, 17)
-# run_suite's order for the integer identities, whose literal products cost
-# O(order^2): 10^4 is the order the acceptance suite checks them at
+# run_suite's order for the integer identities, whose literal Euler product
+# costs about order^2/4 coefficient updates: 10^4 is the order the
+# acceptance suite checks them at
 IDENTITY_CEILING = 10**4
 DEFAULT_POWER4_MAX_M = 6
 
@@ -245,8 +252,10 @@ def _characterization_shift(which: str) -> int:
 
 
 def _checked_bound(bound: int) -> int:
+    # every sweep's bound, checked before anything of its size is allocated
     if bound < 2:
         raise ValueError("bound must be >= 2 so that at least index 1 is checked")
+    _require_mod2_order(bound)
     return bound
 
 
@@ -267,9 +276,10 @@ def _first_odd_by_residue(odd: Iterable[int], modulus: int) -> dict[int, int]:
 
 def _first_odd(s: TruncatedSeries, modulus: int, residues: Iterable[int]) -> int | None:
     # smallest index >= 1 with an odd coefficient of the Mod2 series s in any
-    # listed class: one period of the class mask, doubled until it covers s
-    mask = _bits_of(residues, modulus)
-    width = modulus
+    # listed class: one period of the class mask (cut to the order of s when
+    # the modulus is larger), doubled until it covers s
+    width = min(modulus, s.order)
+    mask = _bits_of((r for r in residues if r < width), width)
     while width < s.order:
         mask |= mask << width
         width *= 2
@@ -461,13 +471,18 @@ def _series_match_report(theorem_id: str, lhs: TruncatedSeries, rhs: TruncatedSe
 
 
 def _literal_euler_product(order: int) -> TruncatedSeries:
-    # the literal product of the (1 - q^m), one slice assignment per factor
-    # over its live window [m, m(m+1)/2] (the degree after m factors); the
-    # slice consumes the map before writing.  Independent of euler_product.
+    # the literal product of the (1 - q^m), largest m first, one slice
+    # assignment per factor.  Once the factors above m are in, the product
+    # is 1 - q^(m+1) - ... - q^(2m+2) + (terms of degree >= 2m+3), so
+    # factor m only sets q^m to -1 and updates the window [2m+1, order):
+    # about order^2/4 updates in all.  The slice consumes the map before
+    # writing.  Independent of euler_product.
     c = [1] + [0] * (order - 1)
-    for m in range(1, order):
-        top = min(m * (m + 1) // 2, order - 1) + 1
-        c[m:top] = map(sub, islice(c, m, top), islice(c, 0, top - m))
+    for m in range(order - 1, 0, -1):
+        lo = 2 * m + 1
+        if lo < order:
+            c[lo:] = map(sub, islice(c, lo, order), islice(c, m + 1, order - m))
+        c[m] -= 1
     return TruncatedSeries(c)
 
 
@@ -484,7 +499,8 @@ def verify_series_identities(order: int) -> list[VerificationReport]:
     The pentagonal-number sum against (q;q), the signed (2n+1)-weighted
     triangular sum against (q;q)^3, and the triangular indicator psi via
     psi * (q;q) against (q^2;q^2)^2; each coefficientwise through `order`.
-    (q;q) is multiplied out once, factor by factor, independently of
+    (q;q) is multiplied out once, factor by factor and largest factor
+    first (about order^2/4 coefficient updates), independently of
     series.euler_product, and (q^2;q^2) is that same product at q -> q^2.
     """
     euler = _literal_euler_product(order)

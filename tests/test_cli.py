@@ -10,7 +10,8 @@ from click.testing import CliRunner
 from hypothesis import assume, given, settings, strategies as st
 
 import mexparity
-from mexparity.cli import CHUNK, MAX_INT_LIMIT, _coefficient_chunks, _render, main
+from mexparity import genfun, verify
+from mexparity.cli import CHUNK, _coefficient_chunks, _render, main
 from mexparity.genfun import ptt_mod2_series, ptt_series
 from mexparity.series import TruncatedSeries
 
@@ -43,6 +44,7 @@ class TestCompute:
     def test_integer_domain_is_capped(self):
         result = run("compute", "--t", "1", "--limit", "20000", "--int")
         assert result.exit_code == 2
+        assert "exceeds the ceiling 10000" in result.output
 
     def test_large_t_defaults_to_parity(self):
         result = run("compute", "--t", "7", "--limit", "40000")
@@ -115,6 +117,29 @@ class TestScanCommand:
         assert run("scan", "--t", "2", "--modulus", "4", "--limit", "100").exit_code == 2
 
 
+class TestCeilings:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("verify", "--suite", "crank-rank"),
+            ("verify", "--suite", "all"),
+            ("scan", "--t", "9", "--modulus", "18"),
+            ("compute", "--t", "5", "--mod2"),
+        ],
+    )
+    def test_limit_past_the_mod2_ceiling_is_a_usage_error(self, monkeypatch, args):
+        def no_build(*a):
+            raise AssertionError("something was built past the ceiling")
+
+        for module, name in [(genfun, "euler_product"), (verify, "_bits_of"),
+                             (verify, "ptt_mod2_series"), (verify, "enumerate_partitions")]:
+            monkeypatch.setattr(module, name, no_build)
+        result = run(*args, "--limit", str(genfun.MOD2_ORDER_CEILING + 1))
+        assert result.exit_code == 2
+        assert "exceeds the ceiling 100000000" in result.output
+        assert "Traceback" not in result.output
+
+
 class TestOutputFormats:
     def test_jsonl_and_csv_carry_identical_data(self):
         args = ("scan", "--t", "3", "--modulus", "4", "--limit", "500")
@@ -178,7 +203,7 @@ class TestStreamedCompute:
            limit=st.sampled_from(STREAM_LIMITS), fmt=st.sampled_from(FORMATS))
     @settings(max_examples=40)
     def test_stdout_equals_rendered_records(self, t, mod2, limit, fmt):
-        assume(mod2 or limit <= MAX_INT_LIMIT)
+        assume(mod2 or limit <= genfun.INT_ORDER_CEILING)
         series = ptt_mod2_series(t, limit) if mod2 else ptt_series(t, limit)
         domain = "--mod2" if mod2 else "--int"
         result = run("compute", "--t", str(t), domain, "--limit", str(limit), "--format", fmt)

@@ -2,10 +2,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mexparity import genfun
-from mexparity.cli import MAX_INT_LIMIT
 from mexparity.errors import LimitError, OrderLimitError
 from mexparity.genfun import (
     INT_ORDER_CEILING,
+    MOD2_ORDER_CEILING,
     acore_mod2_series,
     acore_series,
     dissection_identity_check,
@@ -49,7 +49,7 @@ class TestPttSeries:
 
 class TestIntOrderCeiling:
     def test_ceiling_is_the_cli_cap(self):
-        assert INT_ORDER_CEILING == MAX_INT_LIMIT == 10**4
+        assert INT_ORDER_CEILING == 10**4
         assert issubclass(OrderLimitError, LimitError)
         assert issubclass(LimitError, ValueError)
 
@@ -69,6 +69,18 @@ class TestIntOrderCeiling:
 
     def test_tcore_at_the_ceiling_agrees_with_mod2_route(self):
         assert reduce_mod2(acore_series(2, INT_ORDER_CEILING)) == acore_mod2_series(2, INT_ORDER_CEILING)
+
+
+class TestMod2OrderCeiling:
+    @pytest.mark.parametrize("make, t", [(ptt_mod2_series, 3), (acore_mod2_series, 5)])
+    def test_past_the_ceiling_raises_before_building(self, monkeypatch, make, t):
+        def no_build(*args):
+            raise AssertionError("a series was built past the ceiling")
+
+        monkeypatch.setattr(genfun, "euler_product", no_build)
+        monkeypatch.setattr(genfun, "alternating_triangular", no_build)
+        with pytest.raises(OrderLimitError, match="ceiling 100000000"):
+            make(t, MOD2_ORDER_CEILING + 1)
 
 
 class TestPttMod2Series:

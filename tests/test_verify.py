@@ -1,10 +1,12 @@
+import tracemalloc
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, strategies as st
 
-from mexparity import verify
-from mexparity.genfun import ptt_mod2_series
+from mexparity import series, verify
+from mexparity.errors import OrderLimitError
+from mexparity.genfun import MOD2_ORDER_CEILING, ptt_mod2_series
 from mexparity.partitions import EnumerationLimitError, MexSpec, p_direct
 from mexparity.series import (
     MOD2,
@@ -282,6 +284,27 @@ class TestSweepContract:
         assert report.counterexample == 25
         assert report.detail == "odd count at index 25 = 16n + 9 (m=1)"
 
+    def test_class_with_modulus_above_the_bound_is_still_checked(self, monkeypatch):
+        # 128n + 69 (m=2) has its modulus above the bound 100 but residue 69
+        # below it; the m=3 classes mod 256 start at 149 and hold no index
+        monkeypatch.setattr(verify, "ptt_mod2_series", planted({3: {0, 69}}))
+        report = verify_power4_families(3, 100)
+        assert report.counterexample == 69
+        assert report.detail == "odd count at index 69 = 128n + 69 (m=2)"
+        assert verify_power4_families(3, 69).passed
+
+    def test_class_mask_is_no_wider_than_the_series(self):
+        # the m = 12 moduli are 4^13 and 2 * 4^13: a mask that many bits
+        # wide is 16 MB, and building it peaked at about 43 MB
+        ptt_mod2_series(3, 1000)
+        tracemalloc.start()
+        try:
+            assert verify_power4_families(12, 1000).passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
     def test_theorem6_reports_first_counterexample(self, monkeypatch):
         # t = 5 lists residues (2, 6) mod 10: 12 = 10 + 2 comes first in the
         # list, 6 = 0 + 6 is the first counterexample
@@ -334,6 +357,22 @@ class TestIdentitySuites:
     def test_literal_product_matches_factor_oracle(self, order):
         got = verify._literal_euler_product(order).coeffs
         assert got == factor_oracle(1)[:order]
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 1000])
+    def test_literal_product_at_window_edges_and_above_the_drawn_range(self, order):
+        # factor m updates q^m and [2m + 1, order): 9 to 12 put the lowest
+        # window edges at and just past the top of the series
+        got = verify._literal_euler_product(order).coeffs
+        assert got == tuple(euler_product_by_factors(1, order))
+
+    def test_literal_product_uses_no_closed_form(self, monkeypatch):
+        def closed_form(*args):
+            raise AssertionError("the literal product reached a closed form")
+
+        for name in ("euler_product", "euler_pentagonal", "_from_terms"):
+            monkeypatch.setattr(series, name, closed_form)
+        monkeypatch.setattr(verify, "euler_pentagonal", closed_form)
+        assert verify._literal_euler_product(200).coeffs == factor_oracle(1)[:200]
 
     @given(st.integers(1, 300))
     def test_dilated_product_matches_step2_oracle(self, order):
@@ -470,6 +509,41 @@ class TestScanner:
             scan_congruences(1, 0, 100)
         with pytest.raises(ValueError):
             scan_congruences(1, 4, 1)
+
+
+class TestMod2OrderCeiling:
+    @pytest.fixture
+    def no_build(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("something was built past the ceiling")
+
+        for name in (
+            "_bits_of",
+            "ptt_mod2_series",
+            "acore_mod2_series",
+            "enumerate_partitions",
+            "_literal_euler_product",
+            "dissection_identity_check",
+        ):
+            monkeypatch.setattr(verify, name, fail)
+
+    @pytest.mark.parametrize("name", sorted(CHECKERS))
+    def test_checkers_raise_before_building(self, no_build, name):
+        with pytest.raises(OrderLimitError, match=str(MOD2_ORDER_CEILING)):
+            CHECKERS[name](MOD2_ORDER_CEILING + 1)
+
+    def test_scan_raises_before_building(self, no_build):
+        with pytest.raises(OrderLimitError):
+            scan_congruences(9, 18, MOD2_ORDER_CEILING + 1)
+
+    @pytest.mark.parametrize("name", SUITES)
+    def test_every_suite_raises_before_building(self, no_build, name):
+        # even the suites that clamp their order check the requested bound
+        with pytest.raises(OrderLimitError):
+            run_suite(name, MOD2_ORDER_CEILING + 1)
+
+    def test_the_ceiling_itself_is_accepted(self):
+        assert verify._checked_bound(MOD2_ORDER_CEILING) == MOD2_ORDER_CEILING
 
 
 class TestSuiteRunner:
