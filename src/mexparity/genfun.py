@@ -8,23 +8,21 @@ over the integers both are one series_div by the pentagonal-sparse
 (q;q).  Over GF(2) the alternating sum is psi(q^t) (by Jacobi,
 (q^t;q^t)^3 = psi(q^t) mod 2) and squaring is a dilation, so the parity
 series multiply the memoized R = 1/(q;q)_inf by psi(q^t), or by the
-sparse (q^(t*2^i);q^(t*2^i)) for each set bit i of t.  The
-2t-dissection identity linking the two families is checked here as a
-product: each 2t-slice of the parity series times (q;q)^((t-3)/2) is
-the same slice of the t-core parity series, so the check forms no
-reciprocal of its own.
+sparse (q^(t*2^i);q^(t*2^i)) for each set bit i of t.  The 2t-dissection
+identity linking the two families is checked here as one product per t,
+since multiplying by a series in q^(2t) commutes with taking 2t-slices.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 from .errors import OrderLimitError
 from .series import (
     MOD2,
     TruncatedSeries,
+    _iter_bits,
     alternating_triangular,
-    dissect,
     euler_product,
     series_div,
     series_mul,
@@ -67,7 +65,6 @@ def _require_mod2_order(order: int) -> None:
         raise OrderLimitError(f"mod-2 series order {order} exceeds the ceiling {MOD2_ORDER_CEILING}")
 
 
-@lru_cache(maxsize=64)
 def ptt_series(t: int, order: int) -> TruncatedSeries:
     """Integer series whose coefficient of q^n counts partitions of n with
     mex_{t,t} congruent to t mod 2t.
@@ -82,6 +79,7 @@ def ptt_series(t: int, order: int) -> TruncatedSeries:
     return series_div(alternating_triangular(t, order), euler_product(1, 1, order))
 
 
+# memoized: the p11 and p33 sweeps each reuse one parity series
 @lru_cache(maxsize=64)
 def ptt_mod2_series(t: int, order: int) -> TruncatedSeries:
     """Parity of ptt_series: the same formula over GF(2), where the
@@ -92,7 +90,6 @@ def ptt_mod2_series(t: int, order: int) -> TruncatedSeries:
     return series_mul(euler_product(1, -1, order, MOD2), alternating_triangular(t, order, MOD2))
 
 
-@lru_cache(maxsize=64)
 def acore_series(t: int, order: int) -> TruncatedSeries:
     """Integer series counting t-core partitions: (q^t;q^t)^t / (q;q).
 
@@ -105,6 +102,16 @@ def acore_series(t: int, order: int) -> TruncatedSeries:
     return series_div(euler_product(t, t, order), euler_product(1, 1, order))
 
 
+def _times_euler_power_mod2(s: TruncatedSeries, step: int, power: int) -> TruncatedSeries:
+    # s * (q^step;q^step)^power over GF(2) with one sparse factor per set
+    # bit of power: squaring is a dilation, so no dense power is formed
+    for i in range(power.bit_length()):
+        if power >> i & 1:
+            s = series_mul(s, euler_product(step << i, 1, s.order, MOD2))
+    return s
+
+
+# memoized: a dissection check at the t-core sweep's order reuses its series
 @lru_cache(maxsize=64)
 def acore_mod2_series(t: int, order: int) -> TruncatedSeries:
     """Parity of the t-core counts over GF(2): 1/(q;q) times one factor
@@ -113,28 +120,25 @@ def acore_mod2_series(t: int, order: int) -> TruncatedSeries:
     if t < 2:
         raise ValueError("t must be at least 2")
     _require_mod2_order(order)
-    factors = (euler_product(t << i, 1, order, MOD2) for i in range(t.bit_length()) if t >> i & 1)
-    return reduce(series_mul, factors, euler_product(1, -1, order, MOD2))
+    return _times_euler_power_mod2(euler_product(1, -1, order, MOD2), t, t)
 
 
-def dissection_identity_check(t: int, r: int, order: int) -> bool:
-    """Check one residue class of the 2t-dissection identity.
+def dissection_identity_check(t: int, order: int) -> tuple[int, ...]:
+    """Check every residue class of the 2t-dissection identity.
 
-    For odd t >= 3 and 0 <= r < 2t, the parity series satisfies
+    For odd t >= 3 and each 0 <= r < 2t, the parity series satisfy
 
         dissect(ptt_mod2, 2t, r) * (q;q)^((t-3)/2) == dissect(acore_mod2, 2t, r)
 
-    coefficientwise.  This routine verifies the first `order` coefficients
-    of both sides and returns True on exact agreement.  t = 1 and even t
-    are outside the identity and rejected.
+    coefficientwise.  The first `order` coefficients of every class are
+    checked at once, as ptt_mod2 * (q^(2t);q^(2t))^((t-3)/2) == acore_mod2
+    at order 2t*order.  Returns the residues r < 2t whose class differs,
+    in increasing order: empty on exact agreement.  t = 1 and even t are
+    outside the identity and rejected.
     """
     if t % 2 == 0 or t < 3:
         raise ValueError(f"the dissection identity needs odd t >= 3, got {t}")
-    if not 0 <= r < 2 * t:
-        raise ValueError(f"residue must satisfy 0 <= r < {2 * t}, got {r}")
     parent_order = 2 * t * order
-    lhs = series_mul(
-        dissect(ptt_mod2_series(t, parent_order), 2 * t, r),
-        euler_product(1, (t - 3) // 2, order, MOD2),
-    )
-    return lhs == dissect(acore_mod2_series(t, parent_order), 2 * t, r)
+    lhs = _times_euler_power_mod2(ptt_mod2_series(t, parent_order), 2 * t, (t - 3) // 2)
+    diff = lhs.bits ^ acore_mod2_series(t, parent_order).bits
+    return tuple(sorted({n % (2 * t) for n in _iter_bits(diff)}))

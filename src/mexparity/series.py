@@ -315,9 +315,8 @@ def dissect(s: TruncatedSeries, modulus: int, residue: int) -> TruncatedSeries:
             f"progression {modulus}n + {residue}"
         )
     if s.domain is MOD2:
-        # the same slice as the integer path, over the bits as a q^0-first string
-        digits = format(s._data, f"0{s.order}b")[::-1][residue::modulus]
-        return TruncatedSeries._make(int(digits[::-1], 2), new_order, MOD2)
+        # the same slice as the integer path, over the q^0-first digit string
+        return TruncatedSeries._make(int(_digits(s)[residue::modulus][::-1], 2), new_order, MOD2)
     return TruncatedSeries._make(s._data[residue::modulus], new_order, INTEGERS)
 
 
@@ -350,6 +349,11 @@ def _bits_of(indices: Iterable[int], order: int) -> int:
     for i in indices:
         out[i >> 3] |= 1 << (i & 7)
     return int.from_bytes(out, "little")
+
+
+def _digits(s: TruncatedSeries) -> str:
+    # the coefficients of the Mod2 series s as "0"s and "1"s, q^0 first
+    return format(s._data, f"0{s.order}b")[::-1]
 
 
 def _iter_bits(bits: int) -> Iterator[int]:

@@ -42,9 +42,9 @@ from .partitions import (
 from .series import (
     TruncatedSeries,
     _bits_of,
+    _digits,
     euler_pentagonal,
     jacobi_cube,
-    nonzero_indices,
     series_mul,
     theta_psi,
 )
@@ -257,21 +257,6 @@ def _checked_bound(bound: int) -> int:
         raise ValueError("bound must be >= 2 so that at least index 1 is checked")
     _require_mod2_order(bound)
     return bound
-
-
-def _first_odd_by_residue(odd: Iterable[int], modulus: int) -> dict[int, int]:
-    # first index >= 1 of the increasing odd-coefficient indices `odd` in
-    # each class mod `modulus`
-    found: dict[int, int] = {}
-    for idx in odd:
-        if idx == 0:
-            continue
-        r = idx % modulus
-        if r not in found:
-            found[r] = idx
-            if len(found) == modulus:
-                break
-    return found
 
 
 def _first_odd(s: TruncatedSeries, modulus: int, residues: Iterable[int]) -> int | None:
@@ -523,14 +508,17 @@ def verify_series_identities(order: int) -> list[VerificationReport]:
 
 
 def verify_dissection_identities(ts: tuple[int, ...], order: int) -> VerificationReport:
-    """Run dissection_identity_check for every residue r < 2t, t in ts."""
+    """Run dissection_identity_check once per t in ts, t ascending; a
+    failure names the smallest failing residue r < 2t of the first
+    failing t."""
     if not ts:
         raise ValueError("ts must be non-empty so that some residue class is checked")
     rng = f"t in {sorted(ts)}, r < 2t, order {order}"
     for t in sorted(ts):
-        for r in range(2 * t):
-            if not dissection_identity_check(t, r, order):
-                return _report("dissection-identity", rng, r, f"residue {r} fails for t={t}")
+        failing = dissection_identity_check(t, order)
+        if failing:
+            r = failing[0]
+            return _report("dissection-identity", rng, r, f"residue {r} fails for t={t}")
     return _report("dissection-identity", rng, None)
 
 
@@ -541,18 +529,16 @@ def scan_congruences(t: int, modulus: int, bound: int) -> list[CongruenceClaim]:
     such that the coefficient at modulus*n + j is odd (index 0 excluded),
     unchecked when no index >= 1 of the class lies inside the window, or
     verified-to-bound otherwise.  checked_bound is the largest n whose
-    index was inside the window (negative when there is none).
+    index was inside the window (negative when there is none).  Class j
+    is the slice [j::modulus] of the series' digit string, read once.
     """
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
-    s = ptt_mod2_series(t, _checked_bound(bound))
-    profile = _first_odd_by_residue(nonzero_indices(s), modulus)
+    digits = _digits(ptt_mod2_series(t, _checked_bound(bound)))
     claims = []
     for j in range(modulus):
-        checked = (bound - 1 - j) // modulus
-        idx = profile.get(j)
-        witness = None if idx is None else (idx - j) // modulus
-        claims.append(CongruenceClaim(t, modulus, j, checked, witness))
+        n = digits[j::modulus].find("1", 0 if j else 1)
+        claims.append(CongruenceClaim(t, modulus, j, (bound - 1 - j) // modulus, n if n >= 0 else None))
     return claims
 
 

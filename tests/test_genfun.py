@@ -157,34 +157,28 @@ class TestAcoreSeries:
 
 class TestDissectionIdentity:
     def test_t3_is_trivially_true(self):
-        for r in range(6):
-            assert dissection_identity_check(3, r, 40)
+        assert dissection_identity_check(3, 40) == ()
 
     def test_t5_known_case(self):
-        assert dissection_identity_check(5, 2, 200)
+        assert dissection_identity_check(5, 200) == ()
 
     def test_t7_known_case(self):
-        assert dissection_identity_check(7, 9, 200)
+        assert dissection_identity_check(7, 200) == ()
 
     def test_all_residues_small_order(self):
         for t in (5, 7):
-            for r in range(2 * t):
-                assert dissection_identity_check(t, r, 60)
+            assert dissection_identity_check(t, 60) == ()
 
     def test_rejects_even_t_and_t1(self):
         with pytest.raises(ValueError):
-            dissection_identity_check(4, 0, 10)
+            dissection_identity_check(4, 10)
         with pytest.raises(ValueError):
-            dissection_identity_check(1, 0, 10)
-
-    def test_rejects_out_of_range_residue(self):
-        with pytest.raises(ValueError):
-            dissection_identity_check(5, 10, 10)
+            dissection_identity_check(1, 10)
 
 
-def _plant_tcore_bit(monkeypatch, planted_t, index):
-    # the t-core parity series of planted_t with its coefficient at `index`
-    # flipped, so exactly one residue class of the identity breaks
+def _plant_tcore_bit(monkeypatch, planted_t, *indices):
+    # the t-core parity series of planted_t with its coefficients at
+    # `indices` flipped, so exactly their residue classes of the identity break
     original = genfun.acore_mod2_series
 
     def planted(t, order):
@@ -192,7 +186,8 @@ def _plant_tcore_bit(monkeypatch, planted_t, index):
         if t != planted_t:
             return s
         c = list(s.coeffs)
-        c[index] ^= 1
+        for index in indices:
+            c[index] ^= 1
         return TruncatedSeries(c, MOD2)
 
     monkeypatch.setattr(genfun, "acore_mod2_series", planted)
@@ -204,8 +199,15 @@ class TestDissectionPlantedBit:
     @pytest.mark.parametrize("t, r, n", [(3, 2, 0), (5, 0, 0), (5, 9, 29), (7, 4, 11), (7, 13, 29)])
     def test_check_fails_in_exactly_the_planted_class(self, monkeypatch, t, r, n):
         _plant_tcore_bit(monkeypatch, t, 2 * t * n + r)
-        results = [dissection_identity_check(t, s, self.ORDER) for s in range(2 * t)]
-        assert results == [s != r for s in range(2 * t)]
+        assert dissection_identity_check(t, self.ORDER) == (r,)
+
+    def test_two_classes_fail_and_the_smallest_residue_is_reported(self, monkeypatch):
+        # residue 8 fails at a lower index than residue 6: the check lists
+        # both in increasing order and the report names the smaller residue
+        _plant_tcore_bit(monkeypatch, 7, 14 * 20 + 8, 14 * 25 + 6)
+        assert dissection_identity_check(7, self.ORDER) == (6, 8)
+        report = verify_dissection_identities((7,), self.ORDER)
+        assert (report.counterexample, report.detail) == (6, "residue 6 fails for t=7")
 
     @pytest.mark.parametrize("t, r", [(5, 6), (7, 9)])
     def test_sweep_reports_the_planted_class(self, monkeypatch, t, r):

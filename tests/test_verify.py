@@ -329,7 +329,7 @@ class TestSweepContract:
                 verify_qnr_families(which, (), 1000)
 
     def test_dissection_with_no_t_is_rejected(self, monkeypatch):
-        def no_check(t, r, order):
+        def no_check(*args):
             raise AssertionError("a residue was checked for an empty sweep")
 
         monkeypatch.setattr(verify, "dissection_identity_check", no_check)
@@ -470,6 +470,14 @@ class TestScanner:
                 index = claim.modulus * claim.witness + claim.residue
                 if index <= 30:
                     assert p_direct(spec, index) % 2 == 1
+
+    def test_planted_witnesses_at_both_ends_of_the_window(self, monkeypatch):
+        # 96 = 9 * 10 + 6 is index bound - 1, the last one in the window; the
+        # odd index 0 of class 0 is excluded, so class 0 stays verified
+        monkeypatch.setattr(verify, "ptt_mod2_series", planted({5: {0, 96}}))
+        claims = scan_congruences(5, 10, 97)
+        assert [(c.residue, c.witness) for c in claims if c.status == "refuted"] == [(6, 9)]
+        assert claims[0].status == "verified-to-bound"
 
     def test_verified_set_contains_known_residues(self):
         for t, residues in THEOREM6_RESIDUES.items():
