@@ -9,8 +9,8 @@ JSON lines or CSV, and the same invocation always produces
 byte-identical output.
 
 Exit codes: 0 success (all checks passed), 1 a verification found a
-counterexample, 2 usage error, including a limit past one of the
-ceilings that keep a request within time and memory.
+counterexample, 2 usage error, including a limit or a scan modulus past
+one of the ceilings that keep a request within time and memory.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import click
 
 from . import genfun, verify
 from .errors import LimitError
-from .series import MOD2, TruncatedSeries
+from .series import MOD2, TruncatedSeries, _digits
 
 CHUNK = 1 << 14  # rows per chunk that `compute` renders and writes at a time
 
@@ -87,13 +87,10 @@ def _coefficient_chunks(t: int, series: TruncatedSeries, fmt: str) -> Iterator[s
         wn = len(str(series.order - 1))
         yield f"{'t':<{len(str(t))}}  {'n':<{wn}}  value\n"
         line = "%d  {:<%d}  {}\n" % (t, wn)
+    vals = _digits(series) if series.domain is MOD2 else series.coeffs
     for lo in range(0, series.order, CHUNK):
         hi = min(lo + CHUNK, series.order)
-        if series.domain is MOD2:
-            vals = format((series.bits >> lo) & ((1 << (hi - lo)) - 1), f"0{hi - lo}b")[::-1]
-        else:
-            vals = series.coeffs[lo:hi]
-        yield "".join(map(line.format, range(lo, hi), vals))
+        yield "".join(map(line.format, range(lo, hi), vals[lo:hi]))
 
 
 def _emit(chunks: Iterable[str], out: str | None) -> None:

@@ -21,8 +21,8 @@ from .errors import OrderLimitError
 from .series import (
     MOD2,
     TruncatedSeries,
-    _iter_bits,
     alternating_triangular,
+    dissect,
     euler_product,
     series_div,
     series_mul,
@@ -111,8 +111,6 @@ def _times_euler_power_mod2(s: TruncatedSeries, step: int, power: int) -> Trunca
     return s
 
 
-# memoized: a dissection check at the t-core sweep's order reuses its series
-@lru_cache(maxsize=64)
 def acore_mod2_series(t: int, order: int) -> TruncatedSeries:
     """Parity of the t-core counts over GF(2): 1/(q;q) times one factor
     (q^(t*2^i);q^(t*2^i)) per set bit i of t, which is (q^t;q^t)^t mod 2.
@@ -132,13 +130,13 @@ def dissection_identity_check(t: int, order: int) -> tuple[int, ...]:
 
     coefficientwise.  The first `order` coefficients of every class are
     checked at once, as ptt_mod2 * (q^(2t);q^(2t))^((t-3)/2) == acore_mod2
-    at order 2t*order.  Returns the residues r < 2t whose class differs,
-    in increasing order: empty on exact agreement.  t = 1 and even t are
-    outside the identity and rejected.
+    at order 2t*order.  Returns the residues r < 2t whose 2t-slices of
+    the two sides differ, in increasing order: empty on exact agreement.
+    t = 1 and even t are outside the identity and rejected.
     """
     if t % 2 == 0 or t < 3:
         raise ValueError(f"the dissection identity needs odd t >= 3, got {t}")
-    parent_order = 2 * t * order
-    lhs = _times_euler_power_mod2(ptt_mod2_series(t, parent_order), 2 * t, (t - 3) // 2)
-    diff = lhs.bits ^ acore_mod2_series(t, parent_order).bits
-    return tuple(sorted({n % (2 * t) for n in _iter_bits(diff)}))
+    m = 2 * t
+    lhs = _times_euler_power_mod2(ptt_mod2_series(t, m * order), m, (t - 3) // 2)
+    rhs = acore_mod2_series(t, m * order)
+    return tuple(r for r in range(m) if dissect(lhs, m, r) != dissect(rhs, m, r))

@@ -8,7 +8,9 @@ beyond the truncation order are unknown, not zero, and asking for them is
 an error.
 
 Integer series are kept as coefficient tuples, GF(2) series as one Python
-int used as a bitmask (bit n = coefficient of q^n).  Every product and
+int used as a bitmask (bit n = coefficient of q^n), whose coefficients are
+read as one binary digit string, q^0 first: slices of it are progressions
+and str.find steps through its odd coefficients.  Every product and
 quotient the package forms has a sparse side (a pentagonal or triangular
 series or a dilation of one), so there is one multiplication route per
 domain, shift-XOR over the sparser operand for GF(2) and a convolution
@@ -134,7 +136,7 @@ class TruncatedSeries:
         """All stored coefficients, q^0 first."""
         if self.domain is MOD2:
             out = [0] * self.order
-            for i in _iter_bits(self._data):
+            for i in _ones(_digits(self)):
                 out[i] = 1
             return tuple(out)
         return self._data
@@ -169,7 +171,7 @@ class TruncatedSeries:
 def nonzero_indices(s: TruncatedSeries) -> Iterator[int]:
     """Exponents n < order with a nonzero coefficient, in increasing order."""
     if s.domain is MOD2:
-        return _iter_bits(s._data)
+        return _ones(_digits(s))
     return (i for i, c in enumerate(s._data) if c)
 
 
@@ -329,18 +331,9 @@ def reduce_mod2(s: TruncatedSeries) -> TruncatedSeries:
 
 
 # ---------------------------------------------------------------------------
-# GF(2) kernels: a series is one int, bit n = coefficient of q^n
+# GF(2) kernels: a series is one int, bit n = coefficient of q^n, and its
+# positions are read from one digit string, q^0 first
 # ---------------------------------------------------------------------------
-
-_BYTE_BITS = tuple(
-    tuple(b for b in range(8) if v >> b & 1) for v in range(256)
-)
-
-# byte -> its bits spread to even positions in two bytes (little endian)
-_SPREAD2 = tuple(
-    sum(((v >> b) & 1) << (2 * b) for b in range(8)).to_bytes(2, "little")
-    for v in range(256)
-)
 
 
 def _bits_of(indices: Iterable[int], order: int) -> int:
@@ -356,21 +349,18 @@ def _digits(s: TruncatedSeries) -> str:
     return format(s._data, f"0{s.order}b")[::-1]
 
 
-def _iter_bits(bits: int) -> Iterator[int]:
-    offset = 0
-    for byte in bits.to_bytes((bits.bit_length() + 7) // 8, "little"):
-        if byte:
-            for b in _BYTE_BITS[byte]:
-                yield offset + b
-        offset += 8
+def _ones(digits: str) -> Iterator[int]:
+    # positions of the "1"s in a digit string, increasing
+    i = digits.find("1")
+    while i >= 0:
+        yield i
+        i = digits.find("1", i + 1)
 
 
 def _gf2_dilate(bits: int) -> int:
-    # freshman's dream: squaring over GF(2) sends bit i to bit 2i
-    if bits == 0:
-        return 0
-    raw = bits.to_bytes((bits.bit_length() + 7) // 8, "little")
-    return int.from_bytes(b"".join(_SPREAD2[c] for c in raw), "little")
+    # freshman's dream: squaring over GF(2) sends bit i to bit 2i, that is
+    # a "0" between every two binary digits
+    return int("0".join(format(bits, "b")), 2)
 
 
 def _gf2_mul(a: int, b: int, order: int) -> int:
@@ -382,7 +372,7 @@ def _gf2_mul(a: int, b: int, order: int) -> int:
     if b.bit_count() < a.bit_count():
         a, b = b, a
     acc = 0
-    for i in _iter_bits(a):
+    for i in _ones(format(a, "b")[::-1]):
         acc ^= b << i
     return acc & mask
 

@@ -6,8 +6,10 @@ first counterexample: the smallest failing index in the first family (in
 the checker's stated order) that fails.  A sweep over indices below an
 exclusive bound needs bound >= 2, so that index 1 is in range; a smaller
 bound, like an empty list of families, is a ValueError, never a vacuous
-pass.  A bound above genfun.MOD2_ORDER_CEILING raises OrderLimitError
-before anything is built.  Nothing here proves anything: a passing
+pass.  A bound above genfun.MOD2_ORDER_CEILING raises OrderLimitError,
+and a scan modulus above SCAN_MODULUS_CEILING (10^6) a LimitError,
+before anything is built.  Every family is read as slices of the parity
+series' digit string, q^0 first.  Nothing here proves anything: a passing
 report means "no counterexample below the stated bound", full stop.  The
 scanner makes that explicit by emitting CongruenceClaim records that are
 refuted (with a witness), verified-to-bound, or unchecked when the window
@@ -26,6 +28,7 @@ from math import isqrt
 from operator import add, sub
 from typing import Iterable
 
+from .errors import LimitError
 from .genfun import (
     _require_mod2_order,
     acore_mod2_series,
@@ -40,6 +43,7 @@ from .partitions import (
     rank,
 )
 from .series import (
+    MOD2,
     TruncatedSeries,
     _bits_of,
     _digits,
@@ -89,6 +93,9 @@ DEFAULT_QNR_PRIMES = (5, 7, 11, 13, 17)
 # costs about order^2/4 coefficient updates: 10^4 is the order the
 # acceptance suite checks them at
 IDENTITY_CEILING = 10**4
+# largest modulus scan_congruences accepts: it builds one claim per class,
+# about 0.9 KiB each, so 10^6 classes take about 0.9 GiB
+SCAN_MODULUS_CEILING = 10**6
 DEFAULT_POWER4_MAX_M = 6
 
 SUITES = ("all", "p11", "p33", "crank-rank", "theorem6", "corollaries", "identities")
@@ -259,17 +266,17 @@ def _checked_bound(bound: int) -> int:
     return bound
 
 
-def _first_odd(s: TruncatedSeries, modulus: int, residues: Iterable[int]) -> int | None:
-    # smallest index >= 1 with an odd coefficient of the Mod2 series s in any
-    # listed class: one period of the class mask (cut to the order of s when
-    # the modulus is larger), doubled until it covers s
-    width = min(modulus, s.order)
-    mask = _bits_of((r for r in residues if r < width), width)
-    while width < s.order:
-        mask |= mask << width
-        width *= 2
-    hits = s.bits & mask & ~1
-    return (hits & -hits).bit_length() - 1 if hits else None
+def _class_witness(digits: str, modulus: int, r: int) -> int | None:
+    # first n with an odd coefficient at index modulus*n + r >= 1, read from
+    # the digit string of a Mod2 series: class r is its slice [r::modulus]
+    n = digits[r::modulus].find("1", 0 if r else 1)
+    return n if n >= 0 else None
+
+
+def _first_odd(digits: str, modulus: int, residues: Iterable[int]) -> int | None:
+    # smallest index >= 1 with an odd coefficient in any listed class
+    witnesses = ((_class_witness(digits, modulus, r), r) for r in residues)
+    return min((modulus * n + r for n, r in witnesses if n is not None), default=None)
 
 
 def _report(theorem_id: str, rng: str, witness: int | None, detail: str = "") -> VerificationReport:
@@ -279,10 +286,10 @@ def _report(theorem_id: str, rng: str, witness: int | None, detail: str = "") ->
 
 
 def _sweep(theorem_id: str, rng: str, families: Iterable, what: str = "") -> VerificationReport:
-    # families yields (Mod2 series, modulus, residues, note) in check order;
+    # families yields (digit string, modulus, residues, note) in check order;
     # a failure names the smallest odd index of the first family that has one
-    for s, modulus, residues, note in families:
-        n = _first_odd(s, modulus, residues)
+    for digits, modulus, residues, note in families:
+        n = _first_odd(digits, modulus, residues)
         if n is not None:
             where = f"{modulus}n + {n % modulus}{note}"
             return _report(theorem_id, rng, n, f"odd {what}count at index {n} = {where}")
@@ -301,12 +308,12 @@ def verify_characterization(which: str, bound: int) -> VerificationReport:
     rng = f"1 <= n < {_checked_bound(bound)}"
     roots = range(2, isqrt(shift * (bound - 1) + 1) + 1)
     predicted = _bits_of(((r * r - 1) // shift for r in roots if r * r % shift == 1), bound)
-    bits = ptt_mod2_series(1 if shift == 12 else 3, bound).bits
-    diff = (bits ^ predicted) & ~1
-    if not diff:
+    s = ptt_mod2_series(1 if shift == 12 else 3, bound)
+    n = _digits(TruncatedSeries._make(s.bits ^ predicted, bound, MOD2)).find("1", 1)
+    if n < 0:
         return _report(f"{which}-characterization", rng, None)
-    n = (diff & -diff).bit_length() - 1
-    detail = f"parity {bits >> n & 1} but predicate says {bool(predicted >> n & 1)}"
+    parity = _digits(s)[n]
+    detail = f"parity {parity} but predicate says {parity == '0'}"
     return _report(f"{which}-characterization", rng, n, detail)
 
 
@@ -384,7 +391,7 @@ def verify_crank_rank(bound: int) -> VerificationReport:
 
 def verify_odd_progression(bound: int) -> VerificationReport:
     """Every odd-index coefficient of the t = 1 parity series is even."""
-    n = _first_odd(ptt_mod2_series(1, _checked_bound(bound)), 2, (1,))
+    n = _first_odd(_digits(ptt_mod2_series(1, _checked_bound(bound))), 2, (1,))
     return _report("p11-odd-progression", f"odd n < {bound}", n, "odd count at odd index")
 
 
@@ -397,8 +404,8 @@ def verify_qnr_families(which: str, primes: tuple[int, ...], bound: int) -> Veri
     if not primes:
         raise ValueError("primes must be non-empty so that some family is checked")
     t = 1 if _characterization_shift(which) == 12 else 3
-    s = ptt_mod2_series(t, _checked_bound(bound))
-    families = ((s, p, qnr_residues(which, p), "") for p in sorted(primes))
+    digits = _digits(ptt_mod2_series(t, _checked_bound(bound)))
+    families = ((digits, p, qnr_residues(which, p), "") for p in sorted(primes))
     rng = f"p in {sorted(primes)}, indices < {bound}"
     return _sweep(f"{which}-qnr-families", rng, families)
 
@@ -412,9 +419,9 @@ def verify_power4_families(max_m: int, bound: int) -> VerificationReport:
     """
     if max_m < 0:
         raise ValueError("max_m must be >= 0")
-    s = ptt_mod2_series(3, _checked_bound(bound))
+    digits = _digits(ptt_mod2_series(3, _checked_bound(bound)))
     families = (
-        (s, modulus, ((k * 4**m - 1) // 3,), f" (m={m})")
+        (digits, modulus, ((k * 4**m - 1) // 3,), f" (m={m})")
         for m in range(max_m + 1)
         for modulus, k in ((4 ** (m + 1), 7), (4 ** (m + 1), 10), (2 * 4 ** (m + 1), 13))
     )
@@ -424,7 +431,7 @@ def verify_power4_families(max_m: int, bound: int) -> VerificationReport:
 def _residue_families(theorem_id: str, series_of, what: str, bound: int) -> VerificationReport:
     # the THEOREM6_RESIDUES classes mod 2t of series_of(t, bound), t ascending
     families = (
-        (series_of(t, bound), 2 * t, THEOREM6_RESIDUES[t], f" (t={t})")
+        (_digits(series_of(t, bound)), 2 * t, THEOREM6_RESIDUES[t], f" (t={t})")
         for t in sorted(THEOREM6_RESIDUES)
     )
     rng = f"t in {sorted(THEOREM6_RESIDUES)}, indices < {_checked_bound(bound)}"
@@ -530,16 +537,19 @@ def scan_congruences(t: int, modulus: int, bound: int) -> list[CongruenceClaim]:
     unchecked when no index >= 1 of the class lies inside the window, or
     verified-to-bound otherwise.  checked_bound is the largest n whose
     index was inside the window (negative when there is none).  Class j
-    is the slice [j::modulus] of the series' digit string, read once.
+    is the slice [j::modulus] of the series' digit string, formed once.
+    A modulus above SCAN_MODULUS_CEILING raises LimitError before
+    anything is built.
     """
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
+    if modulus > SCAN_MODULUS_CEILING:
+        raise LimitError(f"scan modulus {modulus} exceeds the ceiling {SCAN_MODULUS_CEILING}")
     digits = _digits(ptt_mod2_series(t, _checked_bound(bound)))
-    claims = []
-    for j in range(modulus):
-        n = digits[j::modulus].find("1", 0 if j else 1)
-        claims.append(CongruenceClaim(t, modulus, j, (bound - 1 - j) // modulus, n if n >= 0 else None))
-    return claims
+    return [
+        CongruenceClaim(t, modulus, j, (bound - 1 - j) // modulus, _class_witness(digits, modulus, j))
+        for j in range(modulus)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -139,6 +139,17 @@ class TestCeilings:
         assert "exceeds the ceiling 100000000" in result.output
         assert "Traceback" not in result.output
 
+    def test_scan_modulus_past_its_ceiling_is_a_usage_error(self, monkeypatch):
+        def no_build(*a):
+            raise AssertionError("a series was built past the modulus ceiling")
+
+        monkeypatch.setattr(verify, "ptt_mod2_series", no_build)
+        modulus = verify.SCAN_MODULUS_CEILING + 1
+        result = run("scan", "--t", "9", "--modulus", str(modulus), "--limit", "100")
+        assert result.exit_code == 2
+        assert "exceeds the ceiling 1000000" in result.output
+        assert "Traceback" not in result.output
+
 
 class TestOutputFormats:
     def test_jsonl_and_csv_carry_identical_data(self):

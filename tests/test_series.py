@@ -1,10 +1,11 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from mexparity.series import (
     INTEGERS,
     MOD2,
     TruncatedSeries,
+    _gf2_dilate,
     alternating_triangular,
     dissect,
     euler_pentagonal,
@@ -391,8 +392,35 @@ class TestFreshmansDream:
             else:
                 assert sq.coeff(n) == 0
 
+    @given(
+        st.one_of(
+            st.integers(0, 2**2000),
+            # top bit at 8k - 1 or 8k, the last bit of a byte or the first
+            st.builds(
+                lambda k, d, low: 1 << (8 * k + d) | low % (1 << (8 * k + d)),
+                st.integers(1, 80),
+                st.sampled_from((-1, 0)),
+                st.integers(0, 2**700),
+            ),
+        )
+    )
+    @example(0)
+    def test_dilate_spreads_bit_i_to_bit_2i(self, x):
+        want = sum(1 << 2 * i for i in range(x.bit_length()) if x >> i & 1)
+        assert _gf2_dilate(x) == want
+
     def test_euler_square_is_dilated_euler(self):
         assert reduce_mod2(euler_product(1, 2, 240)) == reduce_mod2(euler_product(2, 1, 240))
+
+
+@pytest.mark.parametrize("order", [1, 7, 8, 9, 600])
+@given(data=st.data())
+def test_mod2_views_equal_the_coefficient_walk(order, data):
+    for bits in (0, 2**order - 1, data.draw(st.integers(0, 2**order - 1))):
+        s = TruncatedSeries._make(bits, order, MOD2)
+        walk = [s.coeff(n) for n in range(order)]
+        assert s.coeffs == tuple(walk)
+        assert list(nonzero_indices(s)) == [n for n in range(order) if walk[n]]
 
 
 def test_nonzero_indices_both_domains():

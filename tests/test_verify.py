@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mexparity import series, verify
-from mexparity.errors import OrderLimitError
+from mexparity.errors import LimitError, OrderLimitError
 from mexparity.genfun import MOD2_ORDER_CEILING, ptt_mod2_series
 from mexparity.partitions import EnumerationLimitError, MexSpec, p_direct
 from mexparity.series import (
@@ -294,8 +294,9 @@ class TestSweepContract:
         assert verify_power4_families(3, 69).passed
 
     def test_class_mask_is_no_wider_than_the_series(self):
-        # the m = 12 moduli are 4^13 and 2 * 4^13: a mask that many bits
-        # wide is 16 MB, and building it peaked at about 43 MB
+        # the m = 12 moduli are 4^13 and 2 * 4^13: a class mask that many
+        # bits wide is 16 MB, and building it peaked at about 43 MB; a class
+        # read as a slice of the digit string is never longer than the series
         ptt_mod2_series(3, 1000)
         tracemalloc.start()
         try:
@@ -313,7 +314,7 @@ class TestSweepContract:
         assert (report.counterexample, report.detail) == (6, "odd count at index 6 = 10n + 6 (t=5)")
 
     def test_witness_at_the_last_index_is_found(self, monkeypatch):
-        # the class mask must reach index bound - 1: 96 = 9 * 10 + 6
+        # the class read must reach index bound - 1: 96 = 9 * 10 + 6
         monkeypatch.setattr(verify, "ptt_mod2_series", planted({5: {0, 96}}))
         report = verify_theorem6(97)
         assert (report.counterexample, report.detail) == (96, "odd count at index 96 = 10n + 6 (t=5)")
@@ -327,6 +328,18 @@ class TestSweepContract:
         for which in ("p11", "p33"):
             with pytest.raises(ValueError):
                 verify_qnr_families(which, (), 1000)
+
+    @given(st.data(), st.integers(1, 600))
+    def test_first_odd_is_the_smallest_odd_index_in_the_classes(self, data, order):
+        # the oracle reads coefficient by coefficient; the modulus is drawn
+        # from 1..40 or above the order, where no class repeats
+        s = TruncatedSeries._make(data.draw(st.integers(0, 2**order - 1)), order, MOD2)
+        modulus = data.draw(st.one_of(st.integers(1, 40), st.integers(order + 1, 2 * order + 1)))
+        residues = data.draw(st.sets(st.integers(0, modulus - 1), min_size=1))
+        want = next(
+            (n for n in range(1, order) if n % modulus in residues and s.coeff(n) == 1), None
+        )
+        assert verify._first_odd(series._digits(s), modulus, sorted(residues)) == want
 
     def test_dissection_with_no_t_is_rejected(self, monkeypatch):
         def no_check(*args):
@@ -510,6 +523,20 @@ class TestScanner:
             else:
                 assert claim.status == "unchecked"
 
+    def test_modulus_ceiling(self, monkeypatch):
+        # checked against the module constant: a patched ceiling of 10 takes
+        # 10 classes and refuses 11 before building anything
+        assert verify.SCAN_MODULUS_CEILING == 10**6
+        monkeypatch.setattr(verify, "SCAN_MODULUS_CEILING", 10)
+        assert len(scan_congruences(1, 10, 100)) == 10
+
+        def no_build(t, order):
+            raise AssertionError("a series was built past the modulus ceiling")
+
+        monkeypatch.setattr(verify, "ptt_mod2_series", no_build)
+        with pytest.raises(LimitError, match="exceeds the ceiling 10$"):
+            scan_congruences(1, 11, 100)
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             scan_congruences(2, 4, 100)
@@ -543,6 +570,10 @@ class TestMod2OrderCeiling:
     def test_scan_raises_before_building(self, no_build):
         with pytest.raises(OrderLimitError):
             scan_congruences(9, 18, MOD2_ORDER_CEILING + 1)
+
+    def test_scan_modulus_past_its_ceiling_raises_before_building(self, no_build):
+        with pytest.raises(LimitError, match=f"ceiling {verify.SCAN_MODULUS_CEILING}"):
+            scan_congruences(9, verify.SCAN_MODULUS_CEILING + 1, 100)
 
     @pytest.mark.parametrize("name", SUITES)
     def test_every_suite_raises_before_building(self, no_build, name):
