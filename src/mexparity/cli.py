@@ -25,7 +25,7 @@ import click
 
 from . import genfun, verify
 from .errors import LimitError
-from .series import MOD2, TruncatedSeries, _digits
+from .series import MOD2, TruncatedSeries
 
 CHUNK = 1 << 14  # rows per chunk that `compute` renders and writes at a time
 
@@ -87,7 +87,7 @@ def _coefficient_chunks(t: int, series: TruncatedSeries, fmt: str) -> Iterator[s
         wn = len(str(series.order - 1))
         yield f"{'t':<{len(str(t))}}  {'n':<{wn}}  value\n"
         line = "%d  {:<%d}  {}\n" % (t, wn)
-    vals = _digits(series) if series.domain is MOD2 else series.coeffs
+    vals = series.digits if series.domain is MOD2 else series.coeffs
     for lo in range(0, series.order, CHUNK):
         hi = min(lo + CHUNK, series.order)
         yield "".join(map(line.format, range(lo, hi), vals[lo:hi]))

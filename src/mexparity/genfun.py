@@ -9,8 +9,8 @@ over the integers both are one series_div by the pentagonal-sparse
 (q^t;q^t)^3 = psi(q^t) mod 2) and squaring is a dilation, so the parity
 series multiply the memoized R = 1/(q;q)_inf by psi(q^t), or by the
 sparse (q^(t*2^i);q^(t*2^i)) for each set bit i of t.  The 2t-dissection
-identity linking the two families is checked here as one product per t,
-since multiplying by a series in q^(2t) commutes with taking 2t-slices.
+identity is checked as one product per t (multiplying by a series in
+q^(2t) commutes with 2t-slices), sliced from one digit string per side.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .series import (
     MOD2,
     TruncatedSeries,
     alternating_triangular,
-    dissect,
     euler_product,
     series_div,
     series_mul,
@@ -130,13 +129,14 @@ def dissection_identity_check(t: int, order: int) -> tuple[int, ...]:
 
     coefficientwise.  The first `order` coefficients of every class are
     checked at once, as ptt_mod2 * (q^(2t);q^(2t))^((t-3)/2) == acore_mod2
-    at order 2t*order.  Returns the residues r < 2t whose 2t-slices of
-    the two sides differ, in increasing order: empty on exact agreement.
+    at order 2t*order: each side's digit string is formed once and class r
+    is its slice [r::2t].  Returns the residues r < 2t whose slices of the
+    two sides differ, in increasing order: empty on exact agreement.
     t = 1 and even t are outside the identity and rejected.
     """
     if t % 2 == 0 or t < 3:
         raise ValueError(f"the dissection identity needs odd t >= 3, got {t}")
     m = 2 * t
     lhs = _times_euler_power_mod2(ptt_mod2_series(t, m * order), m, (t - 3) // 2)
-    rhs = acore_mod2_series(t, m * order)
-    return tuple(r for r in range(m) if dissect(lhs, m, r) != dissect(rhs, m, r))
+    a, b = lhs.digits, acore_mod2_series(t, m * order).digits
+    return tuple(r for r in range(m) if a[r::m] != b[r::m])

@@ -8,16 +8,16 @@ beyond the truncation order are unknown, not zero, and asking for them is
 an error.
 
 Integer series are kept as coefficient tuples, GF(2) series as one Python
-int used as a bitmask (bit n = coefficient of q^n), whose coefficients are
-read as one binary digit string, q^0 first: slices of it are progressions
-and str.find steps through its odd coefficients.  Every product and
-quotient the package forms has a sparse side (a pentagonal or triangular
-series or a dilation of one), so there is one multiplication route per
-domain, shift-XOR over the sparser operand for GF(2) and a convolution
-over the nonzero terms for the integers, and one quotient, series_div:
-a back-substitution over the nonzero terms of the divisor for the
-integers, a product with the divisor's Newton reciprocal over GF(2),
-where squaring is a bit dilation.
+int used as a bitmask (bit n = coefficient of q^n).  Other modules read a
+GF(2) series only through its public digit string, q^0 first (.digits):
+slices of it are progressions and str.find steps through its odd
+coefficients.  Every product and quotient the package forms has a sparse
+side (a pentagonal or triangular series or a dilation of one), so there
+is one multiplication route per domain, shift-XOR over the sparser
+operand for GF(2) and a convolution over the nonzero terms for the
+integers, and one quotient, series_div: a back-substitution over the
+nonzero terms of the divisor for the integers, a product with the
+divisor's Newton reciprocal over GF(2), where squaring is a bit dilation.
 
 The module also provides constructors for the classical series this
 package is built around: the Euler product (q^s;q^s)_inf and its powers,
@@ -136,7 +136,7 @@ class TruncatedSeries:
         """All stored coefficients, q^0 first."""
         if self.domain is MOD2:
             out = [0] * self.order
-            for i in _ones(_digits(self)):
+            for i in _ones(self.digits):
                 out[i] = 1
             return tuple(out)
         return self._data
@@ -147,6 +147,13 @@ class TruncatedSeries:
         if self.domain is not MOD2:
             raise ValueError("bitmask view is only defined for Mod2 series")
         return self._data
+
+    @property
+    def digits(self) -> str:
+        """Digit-string view ("0"s and "1"s, q^0 first); Mod2 series only."""
+        if self.domain is not MOD2:
+            raise ValueError("digit-string view is only defined for Mod2 series")
+        return format(self._data, f"0{self.order}b")[::-1]
 
     # -- value semantics -----------------------------------------------------
 
@@ -171,7 +178,7 @@ class TruncatedSeries:
 def nonzero_indices(s: TruncatedSeries) -> Iterator[int]:
     """Exponents n < order with a nonzero coefficient, in increasing order."""
     if s.domain is MOD2:
-        return _ones(_digits(s))
+        return _ones(s.digits)
     return (i for i, c in enumerate(s._data) if c)
 
 
@@ -317,8 +324,8 @@ def dissect(s: TruncatedSeries, modulus: int, residue: int) -> TruncatedSeries:
             f"progression {modulus}n + {residue}"
         )
     if s.domain is MOD2:
-        # the same slice as the integer path, over the q^0-first digit string
-        return TruncatedSeries._make(int(_digits(s)[residue::modulus][::-1], 2), new_order, MOD2)
+        # the same slice as the integer path, over the digit string
+        return TruncatedSeries._make(int(s.digits[residue::modulus][::-1], 2), new_order, MOD2)
     return TruncatedSeries._make(s._data[residue::modulus], new_order, INTEGERS)
 
 
@@ -332,7 +339,7 @@ def reduce_mod2(s: TruncatedSeries) -> TruncatedSeries:
 
 # ---------------------------------------------------------------------------
 # GF(2) kernels: a series is one int, bit n = coefficient of q^n, and its
-# positions are read from one digit string, q^0 first
+# positions are read from a digit string, q^0 first (TruncatedSeries.digits)
 # ---------------------------------------------------------------------------
 
 
@@ -342,11 +349,6 @@ def _bits_of(indices: Iterable[int], order: int) -> int:
     for i in indices:
         out[i >> 3] |= 1 << (i & 7)
     return int.from_bytes(out, "little")
-
-
-def _digits(s: TruncatedSeries) -> str:
-    # the coefficients of the Mod2 series s as "0"s and "1"s, q^0 first
-    return format(s._data, f"0{s.order}b")[::-1]
 
 
 def _ones(digits: str) -> Iterator[int]:

@@ -43,12 +43,10 @@ from .partitions import (
     rank,
 )
 from .series import (
-    MOD2,
     TruncatedSeries,
-    _bits_of,
-    _digits,
     euler_pentagonal,
     jacobi_cube,
+    nonzero_indices,
     series_mul,
     theta_psi,
 )
@@ -241,16 +239,18 @@ def qnr_residues(which: str, p: int) -> tuple[int, ...]:
     3r+1; these are exactly the progressions pn + r the corollary checks
     cover.
     """
-    shift = _characterization_shift(which)
+    shift = _characterization(which)[1]
     return tuple(r for r in range(1, p) if legendre_nonresidue(shift * r + 1, p))
 
 
-def _characterization_shift(which: str) -> int:
-    if which == "p11":
-        return 12
-    if which == "p33":
-        return 3
-    raise ValueError(f"which must be 'p11' or 'p33', got {which!r}")
+# which -> (t, shift): ptt_mod2_series(t) is odd at n iff shift*n + 1 is a square
+_CHARACTERIZATIONS = {"p11": (1, 12), "p33": (3, 3)}
+
+
+def _characterization(which: str) -> tuple[int, int]:
+    if which not in _CHARACTERIZATIONS:
+        raise ValueError(f"which must be 'p11' or 'p33', got {which!r}")
+    return _CHARACTERIZATIONS[which]
 
 
 # ---------------------------------------------------------------------------
@@ -301,19 +301,17 @@ def verify_characterization(which: str, bound: int) -> VerificationReport:
 
     For t = 1 the coefficient of q^n is odd iff 12n+1 is a perfect
     square; for t = 3 iff 3n+1 is.  Checked for every 1 <= n < bound by
-    comparing the parity bitmask with the bitmask of the indices
-    (r^2 - 1)/shift, r^2 = 1 mod shift, which takes O(sqrt(bound)) squares.
+    comparing the odd indices n >= 1 of the parity series with the set of
+    indices (r^2 - 1)/shift, r^2 = 1 mod shift, which takes O(sqrt(bound))
+    squares; a failure names the smallest index in one set but not both.
     """
-    shift = _characterization_shift(which)
+    t, shift = _characterization(which)
     rng = f"1 <= n < {_checked_bound(bound)}"
     roots = range(2, isqrt(shift * (bound - 1) + 1) + 1)
-    predicted = _bits_of(((r * r - 1) // shift for r in roots if r * r % shift == 1), bound)
-    s = ptt_mod2_series(1 if shift == 12 else 3, bound)
-    n = _digits(TruncatedSeries._make(s.bits ^ predicted, bound, MOD2)).find("1", 1)
-    if n < 0:
-        return _report(f"{which}-characterization", rng, None)
-    parity = _digits(s)[n]
-    detail = f"parity {parity} but predicate says {parity == '0'}"
+    predicted = {(r * r - 1) // shift for r in roots if r * r % shift == 1}
+    odd = set(nonzero_indices(ptt_mod2_series(t, bound))) - {0}
+    n = min(odd ^ predicted, default=None)
+    detail = f"parity {int(n in odd)} but predicate says {n in predicted}"
     return _report(f"{which}-characterization", rng, n, detail)
 
 
@@ -391,7 +389,7 @@ def verify_crank_rank(bound: int) -> VerificationReport:
 
 def verify_odd_progression(bound: int) -> VerificationReport:
     """Every odd-index coefficient of the t = 1 parity series is even."""
-    n = _first_odd(_digits(ptt_mod2_series(1, _checked_bound(bound))), 2, (1,))
+    n = _first_odd(ptt_mod2_series(1, _checked_bound(bound)).digits, 2, (1,))
     return _report("p11-odd-progression", f"odd n < {bound}", n, "odd count at odd index")
 
 
@@ -403,8 +401,7 @@ def verify_qnr_families(which: str, primes: tuple[int, ...], bound: int) -> Veri
     """
     if not primes:
         raise ValueError("primes must be non-empty so that some family is checked")
-    t = 1 if _characterization_shift(which) == 12 else 3
-    digits = _digits(ptt_mod2_series(t, _checked_bound(bound)))
+    digits = ptt_mod2_series(_characterization(which)[0], _checked_bound(bound)).digits
     families = ((digits, p, qnr_residues(which, p), "") for p in sorted(primes))
     rng = f"p in {sorted(primes)}, indices < {bound}"
     return _sweep(f"{which}-qnr-families", rng, families)
@@ -419,7 +416,7 @@ def verify_power4_families(max_m: int, bound: int) -> VerificationReport:
     """
     if max_m < 0:
         raise ValueError("max_m must be >= 0")
-    digits = _digits(ptt_mod2_series(3, _checked_bound(bound)))
+    digits = ptt_mod2_series(3, _checked_bound(bound)).digits
     families = (
         (digits, modulus, ((k * 4**m - 1) // 3,), f" (m={m})")
         for m in range(max_m + 1)
@@ -431,7 +428,7 @@ def verify_power4_families(max_m: int, bound: int) -> VerificationReport:
 def _residue_families(theorem_id: str, series_of, what: str, bound: int) -> VerificationReport:
     # the THEOREM6_RESIDUES classes mod 2t of series_of(t, bound), t ascending
     families = (
-        (_digits(series_of(t, bound)), 2 * t, THEOREM6_RESIDUES[t], f" (t={t})")
+        (series_of(t, bound).digits, 2 * t, THEOREM6_RESIDUES[t], f" (t={t})")
         for t in sorted(THEOREM6_RESIDUES)
     )
     rng = f"t in {sorted(THEOREM6_RESIDUES)}, indices < {_checked_bound(bound)}"
@@ -545,7 +542,7 @@ def scan_congruences(t: int, modulus: int, bound: int) -> list[CongruenceClaim]:
         raise ValueError("modulus must be >= 1")
     if modulus > SCAN_MODULUS_CEILING:
         raise LimitError(f"scan modulus {modulus} exceeds the ceiling {SCAN_MODULUS_CEILING}")
-    digits = _digits(ptt_mod2_series(t, _checked_bound(bound)))
+    digits = ptt_mod2_series(t, _checked_bound(bound)).digits
     return [
         CongruenceClaim(t, modulus, j, (bound - 1 - j) // modulus, _class_witness(digits, modulus, j))
         for j in range(modulus)

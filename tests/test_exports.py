@@ -1,4 +1,6 @@
+import ast
 import types
+from pathlib import Path
 
 import mexparity
 from mexparity import errors, genfun, partitions, series, verify
@@ -19,3 +21,23 @@ def test_each_export_is_the_module_object():
     for module in MODULES:
         for name in module.__all__:
             assert getattr(mexparity, name) is getattr(module, name), (module.__name__, name)
+
+
+def test_only_series_knows_the_gf2_storage():
+    # outside series.py a GF(2) series is read through .digits or
+    # nonzero_indices: no private name from .series, no TruncatedSeries._make
+    offences = []
+    for path in sorted(Path(mexparity.__file__).parent.glob("*.py")):
+        if path.name == "series.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "series":
+                offences += [(path.name, a.name) for a in node.names if a.name.startswith("_")]
+            elif (
+                isinstance(node, ast.Attribute)
+                and node.attr == "_make"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "TruncatedSeries"
+            ):
+                offences.append((path.name, "TruncatedSeries._make"))
+    assert offences == []

@@ -76,6 +76,8 @@ class TestConstruction:
         assert TruncatedSeries([1, 0, 1], MOD2).bits == 0b101
         with pytest.raises(ValueError):
             TruncatedSeries([1, 0, 1]).bits
+        with pytest.raises(ValueError):
+            TruncatedSeries([1, 0, 1]).digits
 
     @pytest.mark.parametrize(
         "domain, order, text",
@@ -420,6 +422,7 @@ def test_mod2_views_equal_the_coefficient_walk(order, data):
         s = TruncatedSeries._make(bits, order, MOD2)
         walk = [s.coeff(n) for n in range(order)]
         assert s.coeffs == tuple(walk)
+        assert s.digits == "".join(map(str, walk))
         assert list(nonzero_indices(s)) == [n for n in range(order) if walk[n]]
 
 

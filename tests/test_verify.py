@@ -1,5 +1,6 @@
 import tracemalloc
 from functools import lru_cache
+from math import isqrt
 
 import pytest
 from hypothesis import given, strategies as st
@@ -264,6 +265,21 @@ class TestSweepContract:
         report = verify_characterization("p11", 100)
         assert (report.counterexample, report.detail) == (14, "parity 0 but predicate says True")
 
+    @pytest.mark.parametrize("which, t, shift", [("p11", 1, 12), ("p33", 3, 3)])
+    def test_characterization_reaches_the_top_of_the_window(self, monkeypatch, which, t, shift):
+        # every bound up to 300 passes, so each predicted index (2, 4, 10, ...
+        # for p11; 1, 5, 8, ... for p33) is checked when it is bound - 1, and
+        # a parity flipped at bound - 1 is reported there
+        for bound in range(2, 301):
+            assert verify_characterization(which, bound).passed, bound
+        for bound in range(2, 301):
+            odd = {n for n in range(bound) if isqrt(shift * n + 1) ** 2 == shift * n + 1}
+            top = bound - 1
+            monkeypatch.setattr(verify, "ptt_mod2_series", planted({t: odd ^ {top}}))
+            report = verify_characterization(which, bound)
+            want = f"parity {int(top not in odd)} but predicate says {top in odd}"
+            assert (report.counterexample, report.detail) == (top, want)
+
     def test_odd_progression_reports_smallest_odd_index(self, monkeypatch):
         monkeypatch.setattr(verify, "ptt_mod2_series", planted({1: {0, 2, 9, 5}}))
         report = verify_odd_progression(100)
@@ -339,7 +355,7 @@ class TestSweepContract:
         want = next(
             (n for n in range(1, order) if n % modulus in residues and s.coeff(n) == 1), None
         )
-        assert verify._first_odd(series._digits(s), modulus, sorted(residues)) == want
+        assert verify._first_odd(s.digits, modulus, sorted(residues)) == want
 
     def test_dissection_with_no_t_is_rejected(self, monkeypatch):
         def no_check(*args):
@@ -553,7 +569,7 @@ class TestMod2OrderCeiling:
             raise AssertionError("something was built past the ceiling")
 
         for name in (
-            "_bits_of",
+            "nonzero_indices",
             "ptt_mod2_series",
             "acore_mod2_series",
             "enumerate_partitions",
