@@ -6,22 +6,24 @@ memory does not grow with `--limit`; `verify` runs the named verification
 suites, and `scan` sweeps residue classes for parity congruence
 candidates.  Every record stream can be rendered as an aligned table,
 JSON lines or CSV, and the same invocation always produces
-byte-identical output.
+byte-identical output.  Options are parsed with the standard library's
+argparse; the package has no runtime dependency.
 
 Exit codes: 0 success (all checks passed), 1 a verification found a
-counterexample, 2 usage error, including a limit or a scan modulus past
-one of the ceilings that keep a request within time and memory.
+counterexample or stdout was closed before every record was written,
+2 usage error, including a limit or a scan modulus past one of the
+ceilings that keep a request within time and memory.
 """
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
+import os
 import sys
 from collections.abc import Iterable, Iterator
-
-import click
 
 from . import genfun, verify
 from .errors import LimitError
@@ -34,12 +36,6 @@ _COLUMNS = {
     "report": ("theorem_id", "range", "passed", "counterexample", "detail"),
     "claim": ("t", "modulus", "residue", "checked_bound", "status", "witness"),
 }
-
-
-def _odd_t_option(ctx, param, value):
-    if value < 1 or value % 2 == 0:
-        raise click.BadParameter("t must be an odd positive integer")
-    return value
 
 
 def _cell(value, fmt: str) -> str:
@@ -98,102 +94,89 @@ def _emit(chunks: Iterable[str], out: str | None) -> None:
         with open(out, "w", newline="") as fh:
             fh.writelines(chunks)
     else:
-        for chunk in chunks:
-            click.echo(chunk, nl=False)
+        sys.stdout.writelines(chunks)
+        sys.stdout.flush()
 
 
-_limit_option = click.option(
-    "--limit",
-    type=click.IntRange(min=1),
-    default=1000,
-    show_default=True,
-    envvar="MEXPARITY_LIMIT",
-    help="Exclusive bound on indices (override default via MEXPARITY_LIMIT).",
-)
-_format_option = click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(("table", "jsonl", "csv")),
-    default="table",
-    show_default=True,
-    help="Output format: aligned table, JSON lines, or CSV.",
-)
-_out_option = click.option(
-    "--out",
-    type=click.Path(dir_okay=False, writable=True),
-    default=None,
-    help="Write records to FILE instead of stdout.",
-)
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="mexparity", allow_abbrev=False,
+        description="Partition-parity toolkit: exact q-series, enumeration oracles and "
+                    "congruence verification for mex-defined partition counts.")
+    commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    compute, check, scan = (
+        commands.add_parser(name, help=summary, description=summary, allow_abbrev=False)
+        for name, summary in [
+            ("compute", "Print the count (or its parity) for every weight 0 <= n < limit."),
+            ("verify", "Run a verification suite; exit 1 if any check finds a counterexample."),
+            ("scan", "Emit one claim per residue class: refuted with its first witness, "
+                     "verified-to-bound, or unchecked when the limit reaches no index of "
+                     "the class.  Always exits 0; claims are evidence, not proofs.")])
+    for sub in (compute, scan):
+        sub.add_argument("--t", type=int, default=1,
+                         help="odd parameter t of the mex statistic, A = a = t")
+    # one destination for both flags, so the last one given wins
+    compute.add_argument("--mod2", dest="mod2", action="store_const", const=True,
+                         help="parity bits (the default for t >= 5)")
+    compute.add_argument("--int", dest="mod2", action="store_const", const=False,
+                         help="exact integers (the default for t < 5)")
+    check.add_argument("--suite", choices=verify.SUITES, default="all")
+    scan.add_argument("--modulus", type=int, default=2, help="scan residue classes modulo this value")
+    for sub in (compute, check, scan):
+        # a string default goes through type= too: a bad MEXPARITY_LIMIT is a usage error
+        sub.add_argument("--limit", type=int,
+                         default=os.environ.get("MEXPARITY_LIMIT", "1000"),
+                         help="exclusive bound on indices (default %(default)s, from "
+                              "MEXPARITY_LIMIT when set)")
+        sub.add_argument("--format", dest="fmt", choices=("table", "jsonl", "csv"),
+                         default="table", help="aligned table, JSON lines or CSV")
+        sub.add_argument("--out", metavar="FILE", help="write records to FILE instead of stdout")
+    return parser
 
 
-class _Group(click.Group):
-    # every subcommand's LimitError, whose message names the ceiling, is a
-    # usage error (exit 2)
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except LimitError as exc:
-            raise click.UsageError(str(exc)) from exc
-
-
-@click.group(cls=_Group)
-def main():
-    """Partition-parity toolkit: exact q-series, enumeration oracles and
-    congruence verification for mex-defined partition counts."""
-
-
-@main.command()
-@click.option("--t", "t", type=int, default=1, show_default=True, callback=_odd_t_option,
-              help="Odd parameter t of the mex statistic (A = a = t).")
-@_limit_option
-@click.option("--mod2/--int", "mod2", default=None,
-              help="Coefficient domain: parity bits or exact integers "
-                   "[default: --int for t < 5, --mod2 for t >= 5].")
-@_format_option
-@_out_option
-def compute(t: int, limit: int, mod2: bool | None, fmt: str, out: str | None):
-    """Print the count (or its parity) for every weight 0 <= n < limit."""
-    if mod2 is None:
-        mod2 = t >= 5
-    series = genfun.ptt_mod2_series(t, limit) if mod2 else genfun.ptt_series(t, limit)
-    _emit(_coefficient_chunks(t, series, fmt), out)
-
-
-@main.command("verify")
-@click.option("--suite", type=click.Choice(verify.SUITES), default="all", show_default=True,
-              help="Which verification suite to run.")
-@_limit_option
-@_format_option
-@_out_option
-def verify_cmd(suite: str, limit: int, fmt: str, out: str | None):
-    """Run a verification suite; exit 1 if any check finds a counterexample."""
-    if limit < 2:
-        raise click.UsageError("--limit must be at least 2")
-    reports = verify.run_suite(suite, limit)
-    _emit([_render("report", [r.to_record() for r in reports], fmt)], out)
-    if any(not r.passed for r in reports):
+def main(argv: list[str] | None = None) -> None:
+    """Run `mexparity` on argv (default: sys.argv[1:]); exit 2 on a usage error, else 1 on failure."""
+    parser = _parser()
+    args = parser.parse_args(argv)
+    # every check runs before anything is built
+    t = getattr(args, "t", 1)
+    if t < 1 or t % 2 == 0:
+        parser.error("--t must be an odd positive integer")
+    for name, low in (("limit", 1 if args.command == "compute" else 2), ("modulus", 1)):
+        if getattr(args, name, low) < low:
+            parser.error(f"--{name} must be at least {low}")
+    if args.out and (os.path.isdir(args.out) or not os.access(args.out, os.W_OK)
+                     and os.path.exists(args.out)):
+        parser.error(f"--out {args.out!r} is a directory or not writable")
+    failed = False
+    try:
+        if args.command == "compute":
+            mod2 = args.t >= 5 if args.mod2 is None else args.mod2
+            build = genfun.ptt_mod2_series if mod2 else genfun.ptt_series
+            chunks = _coefficient_chunks(args.t, build(args.t, args.limit), args.fmt)
+        elif args.command == "verify":
+            reports = verify.run_suite(args.suite, args.limit)
+            chunks = [_render("report", [r.to_record() for r in reports], args.fmt)]
+            failed = not all(r.passed for r in reports)
+        else:
+            claims = verify.scan_congruences(args.t, args.modulus, args.limit)
+            chunks = [_render("claim", [c.to_record() for c in claims], args.fmt)]
+    except LimitError as exc:
+        # its message names the ceiling the request is past
+        parser.error(str(exc))
+    try:
+        _emit(chunks, args.out)
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so that the flush at
+        # exit cannot fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    if failed:
         sys.exit(1)
 
 
-@main.command()
-@click.option("--t", "t", type=int, default=1, show_default=True, callback=_odd_t_option,
-              help="Odd parameter t of the mex statistic.")
-@click.option("--modulus", type=click.IntRange(min=1), default=2, show_default=True,
-              help="Scan residue classes modulo this value.")
-@_limit_option
-@_format_option
-@_out_option
-def scan(t: int, modulus: int, limit: int, fmt: str, out: str | None):
-    """Scan every residue class for all-even coefficients up to the limit.
-
-    Emits one claim per class: refuted with its first witness,
-    verified-to-bound, or unchecked when the limit reaches no index of
-    the class.  Scanning always exits 0; claims are evidence, not proofs.
-    """
-    if limit < 2:
-        raise click.UsageError("--limit must be at least 2")
-    claims = verify.scan_congruences(t, modulus, limit)
-    _emit([_render("claim", [c.to_record() for c in claims], fmt)], out)
+# the click group's call form, which perfbench/tracer.py uses in-process
+main.main = lambda args=None, **_: main(args)
 
 
 if __name__ == "__main__":

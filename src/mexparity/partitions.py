@@ -17,7 +17,6 @@ the caller.  Past the ceiling an EnumerationLimitError is raised instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import EnumerationLimitError
@@ -39,23 +38,43 @@ __all__ = [
 ENUMERATION_CEILING = 45
 
 
-@dataclass(frozen=True)
 class MexSpec:
     """Parameters (A, a) of the minimal-excludant statistic mex_{A,a}.
 
     mex_{A,a} of a partition is the smallest member of the arithmetic
     progression a, a+A, a+2A, ... that does not occur among the parts;
     p_direct counts the partitions whose mex is congruent to a mod 2A.
+    Immutable, equal and hashed by (A, a); the fields are plain slots,
+    since mex reads them once per partition.
     """
 
-    A: int
-    a: int
+    __slots__ = ("A", "a")
 
-    def __post_init__(self):
-        if self.A < 1:
+    def __init__(self, A: int, a: int):
+        if A < 1:
             raise ValueError("modulus A must be a positive integer")
-        if not 1 <= self.a <= self.A:
-            raise ValueError(f"need 1 <= a <= A, got a={self.a}, A={self.A}")
+        if not 1 <= a <= A:
+            raise ValueError(f"need 1 <= a <= A, got a={a}, A={A}")
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "a", a)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"MexSpec is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return (self.A, self.a) == (other.A, other.a) if type(other) is MexSpec else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.A, self.a))
+
+    def __repr__(self) -> str:
+        return f"MexSpec(A={self.A!r}, a={self.a!r})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, not slot assignment
+        return MexSpec, (self.A, self.a)
 
     def counts(self, parts: Sequence[int]) -> bool:
         """True when mex_{A,a}(parts) is congruent to a mod 2A."""

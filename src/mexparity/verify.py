@@ -22,11 +22,10 @@ trivial reasons and the parity statements all start at n = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import accumulate, islice
+from itertools import accumulate, islice, zip_longest
 from math import isqrt
 from operator import add, sub
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import LimitError
 from .genfun import (
@@ -99,36 +98,41 @@ DEFAULT_POWER4_MAX_M = 6
 SUITES = ("all", "p11", "p33", "crank-rank", "theorem6", "corollaries", "identities")
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class _Report(NamedTuple):
+    theorem_id: str
+    range: str
+    passed: bool
+    counterexample: int | None
+    detail: str
+
+
+class VerificationReport(_Report):
     """Outcome of one finite verification sweep.
 
     passed is False exactly when a counterexample is recorded; detail
     carries human-readable context (which prime, which residue, ...).
     """
 
-    theorem_id: str
-    range: str
-    passed: bool
-    counterexample: int | None = None
-    detail: str = ""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.passed != (self.counterexample is None):
+    def __new__(cls, theorem_id, range, passed, counterexample=None, detail=""):
+        if passed != (counterexample is None):
             raise ValueError("passed must be False exactly when a counterexample is present")
+        return super().__new__(cls, theorem_id, range, passed, counterexample, detail)
 
     def to_record(self) -> dict:
-        return {
-            "theorem_id": self.theorem_id,
-            "range": self.range,
-            "passed": self.passed,
-            "counterexample": self.counterexample,
-            "detail": self.detail,
-        }
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class CongruenceClaim:
+class _Claim(NamedTuple):
+    t: int
+    modulus: int
+    residue: int
+    checked_bound: int
+    witness: int | None
+
+
+class CongruenceClaim(_Claim):
     """One residue class of a parity scan.
 
     Asserts "the count at modulus*n + residue is even for 1 <= index <
@@ -139,19 +143,16 @@ class CongruenceClaim:
     residue 0, whose index 0 is excluded) is unchecked and not verified.
     """
 
-    t: int
-    modulus: int
-    residue: int
-    checked_bound: int
-    witness: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.modulus < 1:
+    def __new__(cls, t, modulus, residue, checked_bound, witness=None):
+        if modulus < 1:
             raise ValueError("modulus must be >= 1")
-        if not 0 <= self.residue < self.modulus:
+        if not 0 <= residue < modulus:
             raise ValueError("residue must lie in [0, modulus)")
-        if self.witness is not None and self.witness < 0:
+        if witness is not None and witness < 0:
             raise ValueError("witness must be non-negative")
+        return super().__new__(cls, t, modulus, residue, checked_bound, witness)
 
     @property
     def verified(self) -> bool:
@@ -301,18 +302,24 @@ def verify_characterization(which: str, bound: int) -> VerificationReport:
 
     For t = 1 the coefficient of q^n is odd iff 12n+1 is a perfect
     square; for t = 3 iff 3n+1 is.  Checked for every 1 <= n < bound by
-    comparing the odd indices n >= 1 of the parity series with the set of
-    indices (r^2 - 1)/shift, r^2 = 1 mod shift, which takes O(sqrt(bound))
-    squares; a failure names the smallest index in one set but not both.
+    merging the increasing odd indices n >= 1 of the parity series with
+    the increasing indices (r^2 - 1)/shift, r^2 = 1 mod shift, and
+    stopping at the first difference, so no index set is held even when
+    the series is wrong and dense; a failure names the smallest index in
+    one list but not both.
     """
     t, shift = _characterization(which)
-    rng = f"1 <= n < {_checked_bound(bound)}"
+    theorem_id, rng = f"{which}-characterization", f"1 <= n < {_checked_bound(bound)}"
     roots = range(2, isqrt(shift * (bound - 1) + 1) + 1)
-    predicted = {(r * r - 1) // shift for r in roots if r * r % shift == 1}
-    odd = set(nonzero_indices(ptt_mod2_series(t, bound))) - {0}
-    n = min(odd ^ predicted, default=None)
-    detail = f"parity {int(n in odd)} but predicate says {n in predicted}"
-    return _report(f"{which}-characterization", rng, n, detail)
+    predicted = ((r * r - 1) // shift for r in roots if r * r % shift == 1)
+    odd = (n for n in nonzero_indices(ptt_mod2_series(t, bound)) if n)
+    # the first pair that differs holds the smallest mismatch: the smaller
+    # of the two (every index is below bound, the stand-in for "none left")
+    for n, p in zip_longest(odd, predicted, fillvalue=bound):
+        if n != p:
+            m = min(n, p)
+            return _report(theorem_id, rng, m, f"parity {int(m == n)} but predicate says {m == p}")
+    return _report(theorem_id, rng, None)
 
 
 def _crank_rank_tallies(bound: int) -> list[tuple[int, int, int, int]]:
@@ -453,8 +460,7 @@ def _series_match_report(theorem_id: str, lhs: TruncatedSeries, rhs: TruncatedSe
     rng = f"0 <= n < {bound}"
     if lhs == rhs:
         return _report(theorem_id, rng, None)
-    a = lhs.coeffs
-    b = rhs.coeffs
+    a, b = lhs.coeffs, rhs.coeffs
     n = next(i for i in range(min(len(a), len(b))) if a[i] != b[i])
     return _report(theorem_id, rng, n, f"coefficients differ at q^{n}: {a[n]} vs {b[n]}")
 
@@ -496,18 +502,10 @@ def verify_series_identities(order: int) -> list[VerificationReport]:
     euler2 = _at_q_squared(euler)
     return [
         _series_match_report("euler-pentagonal-identity", euler_pentagonal(order), euler, order),
-        _series_match_report(
-            "jacobi-cube-identity",
-            jacobi_cube(order),
-            series_mul(euler, series_mul(euler, euler)),
-            order,
-        ),
-        _series_match_report(
-            "theta-psi-identity",
-            series_mul(theta_psi(order), euler),
-            series_mul(euler2, euler2),
-            order,
-        ),
+        _series_match_report("jacobi-cube-identity", jacobi_cube(order),
+                             series_mul(euler, series_mul(euler, euler)), order),
+        _series_match_report("theta-psi-identity", series_mul(theta_psi(order), euler),
+                             series_mul(euler2, euler2), order),
     ]
 
 

@@ -1,12 +1,14 @@
+import contextlib
 import csv
 import io
 import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import assume, given, settings, strategies as st
 
 import mexparity
@@ -17,7 +19,26 @@ from mexparity.series import TruncatedSeries
 
 
 def run(*args, env=None):
-    return CliRunner().invoke(main, list(args), env=env, catch_exceptions=False)
+    """Run the CLI in-process under the extra environment `env`.
+
+    Returns its exit code, `output` (stdout, then stderr) and
+    `stdout_bytes` (stdout alone, UTF-8 encoded).
+    """
+    out, err = io.StringIO(), io.StringIO()
+    code = 0
+    with mock.patch.dict(os.environ, env or {}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main(list(args))
+        except SystemExit as stop:
+            code = 0 if stop.code is None else stop.code
+    return SimpleNamespace(exit_code=code, output=out.getvalue() + err.getvalue(),
+                           stdout_bytes=out.getvalue().encode())
+
+
+def child_env():
+    """The test process's environment, with the package on PYTHONPATH."""
+    return dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mexparity.__file__)))
 
 
 class TestCompute:
@@ -55,6 +76,41 @@ class TestCompute:
         assert result.exit_code == 0
         assert len(result.output.splitlines()) == 4  # header + 3 rows
 
+    def test_bad_env_limit_is_usage_error(self):
+        result = run("compute", "--t", "1", env={"MEXPARITY_LIMIT": "abc"})
+        assert result.exit_code == 2
+        assert "Traceback" not in result.output
+
+    def test_given_limit_overrides_a_bad_env_limit(self):
+        result = run("compute", "--t", "1", "--limit", "3", env={"MEXPARITY_LIMIT": "abc"})
+        assert result.exit_code == 0
+        assert len(result.output.splitlines()) == 4
+
+    @pytest.mark.parametrize("flags, domain", [(("--mod2", "--int"), "--int"),
+                                               (("--int", "--mod2"), "--mod2")])
+    def test_last_domain_flag_wins(self, flags, domain):
+        result = run("compute", "--t", "5", "--limit", "12", *flags)
+        assert result.exit_code == 0
+        assert result.output == run("compute", "--t", "5", "--limit", "12", domain).output
+        values = [int(line.split()[-1]) for line in result.output.splitlines()[1:]]
+        series = ptt_series(5, 12) if domain == "--int" else ptt_mod2_series(5, 12)
+        assert values == list(series.coeffs)
+
+    def test_closed_pipe_exits_one_without_a_traceback(self):
+        # the reader takes one line and goes away while rows are still coming
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mexparity.cli", "compute", "--t", "5", "--limit", "1000000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
+        try:
+            assert proc.stdout.readline().split() == [b"t", b"n", b"value"]
+        finally:
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            proc.stderr.close()
+            proc.wait(timeout=120)
+        assert proc.returncode == 1
+        assert b"Traceback" not in stderr
+
 
 class TestVerifyCommand:
     def test_unknown_suite(self):
@@ -81,7 +137,7 @@ class TestVerifyCommand:
 
         failing = VerificationReport("probe", "n < 9", False, 7, detail="synthetic")
         monkeypatch.setattr(cli.verify, "run_suite", lambda name, bound: [failing])
-        result = CliRunner().invoke(main, ["verify", "--suite", "p11"])
+        result = run("verify", "--suite", "p11")
         assert result.exit_code == 1
         assert "7" in result.output
 
@@ -115,6 +171,34 @@ class TestScanCommand:
 
     def test_even_t_rejected(self):
         assert run("scan", "--t", "2", "--modulus", "4", "--limit", "100").exit_code == 2
+
+
+class TestUsage:
+    def test_no_subcommand_is_usage_error(self):
+        assert run().exit_code == 2
+
+    @pytest.mark.parametrize("args", [("compute", "--t", "5"), ("verify", "--suite", "p11"),
+                                      ("scan", "--t", "9", "--modulus", "18")])
+    def test_out_directory_is_usage_error_before_any_build(self, monkeypatch, tmp_path, args):
+        def no_build(*a):
+            raise AssertionError("something was built for an unusable --out")
+
+        for module, name in [(genfun, "ptt_mod2_series"), (genfun, "ptt_series"),
+                             (verify, "run_suite"), (verify, "scan_congruences")]:
+            monkeypatch.setattr(module, name, no_build)
+        result = run(*args, "--out", str(tmp_path))
+        assert result.exit_code == 2
+        assert "directory" in result.output
+        assert "Traceback" not in result.output
+
+    def test_import_path_has_no_click_dataclasses_or_inspect(self):
+        # each of these costs 10-20 ms at every start; only the modules that
+        # importing the CLI adds are counted, not what site hooks load
+        code = ("import sys; before = set(sys.modules); import mexparity.cli; "
+                "print(sorted({'click', 'dataclasses', 'inspect'} & set(sys.modules) - before))")
+        out = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                             capture_output=True, text=True, check=True).stdout
+        assert out == "[]\n"
 
 
 class TestCeilings:
@@ -202,9 +286,8 @@ def render_records(t, series, fmt):
 
 
 def max_rss_kib(*args):
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mexparity.__file__)))
     proc = subprocess.Popen([sys.executable, "-m", "mexparity.cli", *args],
-                            stdout=subprocess.DEVNULL, env=env)
+                            stdout=subprocess.DEVNULL, env=child_env())
     _, status, usage = os.wait4(proc.pid, 0)
     proc.returncode = os.waitstatus_to_exitcode(status)
     assert proc.returncode == 0

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from collections import Counter
 
 import pytest
@@ -96,6 +98,18 @@ class TestMex:
             MexSpec(3, 4)
         with pytest.raises(ValueError):
             MexSpec(3, 0)
+
+    def test_spec_is_an_immutable_value(self):
+        spec = MexSpec(A=3, a=3)
+        assert spec == MexSpec(3, 3) and hash(spec) == hash(MexSpec(3, 3))
+        assert spec != MexSpec(3, 1) and spec != (3, 3)
+        assert repr(spec) == "MexSpec(A=3, a=3)"
+        assert copy.copy(spec) == pickle.loads(pickle.dumps(spec)) == spec
+        with pytest.raises(AttributeError):
+            spec.A = 5
+        with pytest.raises(AttributeError):
+            del spec.a
+        assert (spec.A, spec.a) == (3, 3)
 
     @given(partitions_of, st.integers(1, 6))
     def test_mex_is_first_gap_of_the_progression(self, parts, A):

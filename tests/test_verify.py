@@ -1,3 +1,4 @@
+import pickle
 import tracemalloc
 from functools import lru_cache
 from math import isqrt
@@ -132,6 +133,21 @@ class TestReportTypes:
         with pytest.raises(ValueError):
             VerificationReport("x", "n < 5", False)
 
+    def test_reports_are_immutable_records(self):
+        report = VerificationReport(theorem_id="x", range="n < 5", passed=False,
+                                    counterexample=3, detail="d")
+        assert report == VerificationReport("x", "n < 5", False, 3, "d")
+        assert pickle.loads(pickle.dumps(report)) == report
+        assert report.to_record() == {"theorem_id": "x", "range": "n < 5", "passed": False,
+                                      "counterexample": 3, "detail": "d"}
+        claim = CongruenceClaim(t=5, modulus=10, residue=3, checked_bound=9, witness=0)
+        assert list(claim.to_record().items()) == [
+            ("t", 5), ("modulus", 10), ("residue", 3), ("checked_bound", 9),
+            ("status", "refuted"), ("witness", 0)]
+        for value, field in [(report, "passed"), (claim, "witness")]:
+            with pytest.raises(AttributeError):
+                setattr(value, field, None)
+
     def test_claim_validation(self):
         with pytest.raises(ValueError):
             CongruenceClaim(1, 0, 0, 10)
@@ -264,6 +280,22 @@ class TestSweepContract:
         monkeypatch.setattr(verify, "ptt_mod2_series", planted({1: {0, 2, 4, 10}}))
         report = verify_characterization("p11", 100)
         assert (report.counterexample, report.detail) == (14, "parity 0 but predicate says True")
+
+    def test_characterization_memory_on_a_dense_wrong_series(self, monkeypatch):
+        # odd at two of every three indices: a set of its 666,667 odd indices
+        # took about 53 MB; the merge stops at the first mismatch, index 3,
+        # and holds little beyond the 1 MB digit string
+        order = 10**6
+        dense = TruncatedSeries([int(n % 3 != 1) for n in range(order)], MOD2)
+        monkeypatch.setattr(verify, "ptt_mod2_series", lambda t, bound: dense)
+        tracemalloc.start()
+        try:
+            report = verify_characterization("p11", order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (report.counterexample, report.detail) == (3, "parity 1 but predicate says False")
+        assert peak < 4_000_000
 
     @pytest.mark.parametrize("which, t, shift", [("p11", 1, 12), ("p33", 3, 3)])
     def test_characterization_reaches_the_top_of_the_window(self, monkeypatch, which, t, shift):
