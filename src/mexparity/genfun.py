@@ -5,12 +5,12 @@ counts defined by the mex statistic with A = a = t (t odd): the
 alternating triangular sum at step t divided by the Euler product
 (q;q)_inf.  The t-core counting series is (q^t;q^t)_inf^t / (q;q)_inf;
 over the integers both are one series_div by the pentagonal-sparse
-(q;q).  Over GF(2) the alternating sum is psi(q^t) (by Jacobi,
-(q^t;q^t)^3 = psi(q^t) mod 2) and squaring is a dilation, so the parity
-series multiply the memoized R = 1/(q;q)_inf by psi(q^t), or by the
-sparse (q^(t*2^i);q^(t*2^i)) for each set bit i of t.  The 2t-dissection
-identity is checked as one product per t (multiplying by a series in
-q^(2t) commutes with 2t-slices), sliced from one digit string per side.
+(q;q).  Over GF(2) both multiply R = 1/(q;q)_inf, the memoized
+series.partition_parity: by psi(q^t), which the alternating sum is mod 2
+(Jacobi), or by one sparse (q^(t*2^i);q^(t*2^i)) per set bit i of t,
+since squaring is a dilation.  The 2t-dissection identity is checked as
+one product per t (multiplying by a series in q^(2t) commutes with
+2t-slices), sliced from one digit string per side.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .series import (
     TruncatedSeries,
     alternating_triangular,
     euler_product,
+    partition_parity,
     series_div,
     series_mul,
 )
@@ -86,7 +87,7 @@ def ptt_mod2_series(t: int, order: int) -> TruncatedSeries:
     order above MOD2_ORDER_CEILING raises OrderLimitError."""
     _require_odd_t(t)
     _require_mod2_order(order)
-    return series_mul(euler_product(1, -1, order, MOD2), alternating_triangular(t, order, MOD2))
+    return series_mul(partition_parity(order), alternating_triangular(t, order, MOD2))
 
 
 def acore_series(t: int, order: int) -> TruncatedSeries:
@@ -117,7 +118,7 @@ def acore_mod2_series(t: int, order: int) -> TruncatedSeries:
     if t < 2:
         raise ValueError("t must be at least 2")
     _require_mod2_order(order)
-    return _times_euler_power_mod2(euler_product(1, -1, order, MOD2), t, t)
+    return _times_euler_power_mod2(partition_parity(order), t, t)
 
 
 def dissection_identity_check(t: int, order: int) -> tuple[int, ...]:

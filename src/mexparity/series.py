@@ -11,13 +11,13 @@ Integer series are kept as coefficient tuples, GF(2) series as one Python
 int used as a bitmask (bit n = coefficient of q^n).  Other modules read a
 GF(2) series only through its public digit string, q^0 first (.digits):
 slices of it are progressions and str.find steps through its odd
-coefficients.  Every product and quotient the package forms has a sparse
-side (a pentagonal or triangular series or a dilation of one), so there
-is one multiplication route per domain, shift-XOR over the sparser
-operand for GF(2) and a convolution over the nonzero terms for the
-integers, and one quotient, series_div: a back-substitution over the
-nonzero terms of the divisor for the integers, a product with the
-divisor's Newton reciprocal over GF(2), where squaring is a bit dilation.
+coefficients.  Every product the package forms has a sparse side (a
+pentagonal or triangular series or a dilation of one), so there is one
+multiplication route per domain: shift-XOR over the sparser operand for
+GF(2), a convolution over the nonzero terms for the integers.  The one
+quotient, series_div, is integer-only, a back-substitution over the
+nonzero terms of the divisor.  The one GF(2) quotient the package needs,
+R = 1/(q;q)_inf, is built by partition_parity as R(q) = psi(q) * R(q^4).
 
 The module also provides constructors for the classical series this
 package is built around: the Euler product (q^s;q^s)_inf and its powers,
@@ -43,6 +43,7 @@ __all__ = [
     "series_recip",
     "series_div",
     "euler_product",
+    "partition_parity",
     "euler_pentagonal",
     "jacobi_cube",
     "alternating_triangular",
@@ -82,21 +83,22 @@ class TruncatedSeries:
         data = tuple(map(index, coeffs))
         if not data:
             raise ValueError("a series needs order >= 1 (at least the q^0 coefficient)")
-        object.__setattr__(self, "order", len(data))
-        object.__setattr__(self, "domain", domain)
+        order = len(data)
         if domain is MOD2:
             for i, c in enumerate(data):
                 if c not in (0, 1):
-                    raise ValueError(
-                        f"Mod2 coefficients must be 0 or 1, got {c} at q^{i}"
-                    )
-            bits = _bits_of((i for i, c in enumerate(data) if c), len(data))
-            object.__setattr__(self, "_data", bits)
-        else:
-            object.__setattr__(self, "_data", data)
+                    raise ValueError(f"Mod2 coefficients must be 0 or 1, got {c} at q^{i}")
+            data = _bits_of((i for i, c in enumerate(data) if c), order)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "_data", data)
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through _make, not slot assignment
+        return TruncatedSeries._make, (self._data, self.order, self.domain)
 
     # -- alternate constructors -------------------------------------------
 
@@ -135,10 +137,7 @@ class TruncatedSeries:
     def coeffs(self) -> tuple[int, ...]:
         """All stored coefficients, q^0 first."""
         if self.domain is MOD2:
-            out = [0] * self.order
-            for i in _ones(self.digits):
-                out[i] = 1
-            return tuple(out)
+            return tuple(map(int, self.digits))
         return self._data
 
     @property
@@ -160,11 +159,7 @@ class TruncatedSeries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return (
-            self.domain is other.domain
-            and self.order == other.order
-            and self._data == other._data
-        )
+        return (self.domain, self.order, self._data) == (other.domain, other.order, other._data)
 
     def __hash__(self) -> int:
         return hash((self.domain, self.order, self._data))
@@ -201,18 +196,15 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
 
 
 def series_div(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:
-    """Quotient num / den, exact through min(num.order, den.order): the
-    series r with series_mul(r, den) == num.  The constant term of den
-    must be a unit: +-1 over the integers, 1 over GF(2).
+    """Quotient num / den over the integers, exact through min(num.order,
+    den.order): the series r with series_mul(r, den) == num.  The constant
+    term of den must be +-1.  Over GF(2) the one quotient is partition_parity.
     """
     if num.domain is not den.domain:
         raise ValueError(f"domain mismatch: {num.domain.value} / {den.domain.value}")
-    order = min(num.order, den.order)
     if den.domain is MOD2:
-        if (den._data & 1) != 1:
-            raise ValueError("constant term must be 1 to divide by a Mod2 series")
-        bits = _gf2_mul(num._data, _gf2_recip(den._data, order), order)
-        return TruncatedSeries._make(bits, order, MOD2)
+        raise ValueError("series_div is integer-only; 1/(q;q) mod 2 is partition_parity")
+    order = min(num.order, den.order)
     c0 = den._data[0]
     if c0 not in (1, -1):
         raise ValueError(f"constant term must be +-1 to divide over the integers, got {c0}")
@@ -220,29 +212,53 @@ def series_div(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:
 
 
 def series_recip(a: TruncatedSeries) -> TruncatedSeries:
-    """Multiplicative inverse series_div(1, a): series_mul(a, result) == 1."""
+    """Inverse series_div(1, a) of an integer series: series_mul(a, result) == 1."""
     return series_div(TruncatedSeries.one(a.order, a.domain), a)
 
 
 @lru_cache(maxsize=256)
 def euler_product(step: int, power: int, order: int, domain: Domain = INTEGERS) -> TruncatedSeries:
-    """The infinite product prod_{k>=1} (1 - q^(step*k)) raised to `power`.
+    """The infinite product prod_{k>=1} (1 - q^(step*k)) raised to `power` >= 0.
 
     The base product is the pentagonal-number expansion (the terms of
     euler_pentagonal) dilated by `step`, so it has O(sqrt(order/step))
-    nonzero terms; over GF(2) their bits are set directly.  |power| is
-    formed by repeated multiplication with that sparse base, a negative
-    power is its reciprocal, and power = 0 gives the identity series.
+    nonzero terms; over GF(2) their bits are set directly.  A power is
+    formed by repeated multiplication with that sparse base, and power = 0
+    gives the identity series.  1/(q;q) is series_recip or partition_parity.
     The literal product of binomial factors is kept out of this path; it
     serves as the independent oracle of verify.verify_series_identities.
     """
     if step < 1:
         raise ValueError("step must be a positive integer")
-    base = _from_terms(((step * e, c) for e, c in _pentagonal_terms()), order, domain)
+    if power < 0:
+        raise ValueError(f"power must be >= 0, got {power}")
     if power == 0:
         return TruncatedSeries.one(order, domain)
-    result = reduce(series_mul, repeat(base, abs(power) - 1), base)
-    return series_recip(result) if power < 0 else result
+    base = _from_terms(((step * e, c) for e, c in _pentagonal_terms()), order, domain)
+    return reduce(series_mul, repeat(base, power - 1), base)
+
+
+# the bound, shared by every sweep, and the dissection check's two orders
+@lru_cache(maxsize=4)
+def partition_parity(order: int) -> TruncatedSeries:
+    """R = 1/(q;q)_inf over GF(2): coefficient n is p(n) mod 2.
+
+    Mod 2, (q;q)^3 = psi(q) (Jacobi) and (q;q)^4 = (q^4;q^4) (squaring is a
+    dilation), so R(q) = psi(q) * R(q^4): R at order n is one product of
+    psi(q), about sqrt(2n) terms, with R at order ceil(n/4) dilated by 4.
+    R is built up from order 1 through the orders ceil(order / 4^k).
+    """
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    orders = [order]
+    while orders[-1] > 1:
+        orders.append((orders[-1] + 3) // 4)
+    bits = 1
+    for n in reversed(orders[:-1]):
+        # bit i of R(q) is bit 4i of R(q^4): "000" between every two digits
+        r4 = int("000".join(format(bits, "b")), 2)
+        bits = _gf2_mul(alternating_triangular(1, n, MOD2)._data, r4, n)
+    return TruncatedSeries._make(bits, order, MOD2)
 
 
 def euler_pentagonal(order: int) -> TruncatedSeries:
@@ -359,35 +375,16 @@ def _ones(digits: str) -> Iterator[int]:
         i = digits.find("1", i + 1)
 
 
-def _gf2_dilate(bits: int) -> int:
-    # freshman's dream: squaring over GF(2) sends bit i to bit 2i, that is
-    # a "0" between every two binary digits
-    return int("0".join(format(bits, "b")), 2)
-
-
 def _gf2_mul(a: int, b: int, order: int) -> int:
     mask = (1 << order) - 1
     a &= mask
     b &= mask
-    if a == 0 or b == 0:
-        return 0
     if b.bit_count() < a.bit_count():
         a, b = b, a
     acc = 0
     for i in _ones(format(a, "b")[::-1]):
         acc ^= b << i
     return acc & mask
-
-
-def _gf2_recip(a: int, order: int) -> int:
-    # Newton iteration: if a*x == 1 mod q^m then a*(a*x^2) == (a*x)^2 == 1
-    # mod q^2m, and squaring is a dilation
-    x = 1
-    m = 1
-    while m < order:
-        m = min(2 * m, order)
-        x = _gf2_mul(a, _gf2_dilate(x), m)
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +395,6 @@ def _gf2_recip(a: int, order: int) -> int:
 def _int_mul(a: Sequence[int], b: Sequence[int], order: int) -> tuple[int, ...]:
     nza = [(i, v) for i, v in enumerate(a[:order]) if v]
     nzb = [(i, v) for i, v in enumerate(b[:order]) if v]
-    if not nza or not nzb:
-        return (0,) * order
     if len(nzb) < len(nza):
         nza, nzb = nzb, nza
     acc = [0] * order

@@ -4,7 +4,9 @@ These deliberately avoid the library's own algorithms: partition counts
 come from the classic coin-style dynamic program, products from naive
 schoolbook convolution, and the pentagonal predicate from an explicit
 search over k.  The Euler product is multiplied out one binomial
-factor at a time, independently of the pentagonal form the library uses.
+factor at a time, independently of the pentagonal form the library uses,
+and 1/(q;q) mod 2 is a Newton reciprocal, where the library uses the
+theta recursion R(q) = psi(q) * R(q^4).
 Partitions come from a recursive generator, and the crank is computed
 without assuming any order of the parts.  The crank/rank tallies are the
 per-weight route: every partition of n goes through the library's four
@@ -77,6 +79,18 @@ def gf2_schoolbook_mul(abits: int, bbits: int, order: int) -> int:
         x >>= 1
         i += 1
     return acc & ((1 << order) - 1)
+
+
+def gf2_newton_recip(abits: int, order: int) -> int:
+    """1/a over GF(2) through q^(order-1), for a with bit 0 set, by Newton's
+    iteration: if a*x == 1 mod q^m then a*(a*x^2) == (a*x)^2 == 1 mod q^(2m),
+    and squaring x puts a "0" between every two of its binary digits."""
+    x = m = 1
+    while m < order:
+        m = min(2 * m, order)
+        square = int("0".join(format(x, "b")), 2)
+        x = gf2_schoolbook_mul(abits & ((1 << m) - 1), square, m)
+    return x
 
 
 def pent_type_by_search(n: int) -> bool:

@@ -215,7 +215,8 @@ class TestCeilings:
         def no_build(*a):
             raise AssertionError("something was built past the ceiling")
 
-        for module, name in [(genfun, "euler_product"), (verify, "nonzero_indices"),
+        for module, name in [(genfun, "euler_product"), (genfun, "partition_parity"),
+                             (verify, "nonzero_indices"),
                              (verify, "ptt_mod2_series"), (verify, "enumerate_partitions")]:
             monkeypatch.setattr(module, name, no_build)
         result = run(*args, "--limit", str(genfun.MOD2_ORDER_CEILING + 1))

@@ -79,6 +79,7 @@ class TestMod2OrderCeiling:
 
         monkeypatch.setattr(genfun, "euler_product", no_build)
         monkeypatch.setattr(genfun, "alternating_triangular", no_build)
+        monkeypatch.setattr(genfun, "partition_parity", no_build)
         with pytest.raises(OrderLimitError, match="ceiling 100000000"):
             make(t, MOD2_ORDER_CEILING + 1)
 

@@ -1,17 +1,20 @@
+import copy
+import pickle
+
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import given, strategies as st
 
 from mexparity.series import (
     INTEGERS,
     MOD2,
     TruncatedSeries,
-    _gf2_dilate,
     alternating_triangular,
     dissect,
     euler_pentagonal,
     euler_product,
     jacobi_cube,
     nonzero_indices,
+    partition_parity,
     reduce_mod2,
     series_div,
     series_mul,
@@ -20,6 +23,7 @@ from mexparity.series import (
 )
 from oracles import (
     euler_product_by_factors,
+    gf2_newton_recip,
     gf2_schoolbook_mul,
     partition_counts,
     schoolbook_mul,
@@ -71,6 +75,17 @@ class TestConstruction:
         s = TruncatedSeries([1])
         with pytest.raises(AttributeError):
             s.order = 5
+
+    @pytest.mark.parametrize(
+        "s", [TruncatedSeries([1, -2, 0, 2**70]), TruncatedSeries([1, 0, 1, 1, 0], MOD2)]
+    )
+    @pytest.mark.parametrize(
+        "clone", [copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))]
+    )
+    def test_copy_and_pickle_keep_the_value(self, s, clone):
+        twin = clone(s)
+        assert twin == s and hash(twin) == hash(s)
+        assert twin.domain is s.domain and twin.coeffs == s.coeffs
 
     def test_bits_view_only_for_mod2(self):
         assert TruncatedSeries([1, 0, 1], MOD2).bits == 0b101
@@ -149,8 +164,12 @@ class TestRecip:
     def test_non_unit_rejected(self):
         with pytest.raises(ValueError):
             series_recip(TruncatedSeries([2, 1]))
-        with pytest.raises(ValueError):
-            series_recip(TruncatedSeries([0, 1], MOD2))
+
+    @pytest.mark.parametrize("coeffs", [[1, 1, 0], [0, 1], [1]])
+    def test_mod2_rejected(self, coeffs):
+        # over GF(2) the one reciprocal is partition_parity
+        with pytest.raises(ValueError, match="integer-only"):
+            series_recip(TruncatedSeries(coeffs, MOD2))
 
     def test_negative_unit(self):
         a = TruncatedSeries([-1, 2, 5, -3])
@@ -160,11 +179,6 @@ class TestRecip:
     def test_roundtrip(self, tail, unit):
         a = TruncatedSeries([unit] + tail)
         assert series_mul(a, series_recip(a)) == TruncatedSeries.one(a.order)
-
-    @given(st.lists(st.integers(0, 1), min_size=1, max_size=60))
-    def test_mod2_roundtrip(self, tail):
-        a = TruncatedSeries([1] + tail, MOD2)
-        assert series_mul(a, series_recip(a)) == TruncatedSeries.one(a.order, MOD2)
 
 
 class TestDiv:
@@ -188,8 +202,11 @@ class TestDiv:
     def test_non_unit_rejected(self):
         with pytest.raises(ValueError):
             series_div(TruncatedSeries([1, 1]), TruncatedSeries([2, 1]))
-        with pytest.raises(ValueError):
-            series_div(TruncatedSeries([1, 1], MOD2), TruncatedSeries([0, 1], MOD2))
+
+    @pytest.mark.parametrize("den", [[1, 1, 0], [0, 1, 1], [1, 0, 0]])
+    def test_mod2_rejected(self, den):
+        with pytest.raises(ValueError, match="integer-only"):
+            series_div(TruncatedSeries([1, 0, 1], MOD2), TruncatedSeries(den, MOD2))
 
     @given(st.data(), st.integers(1, 200), st.sampled_from([1, -1]))
     def test_times_denominator_gives_numerator(self, data, order, unit):
@@ -199,22 +216,11 @@ class TestDiv:
         got = series_div(TruncatedSeries(num), TruncatedSeries(den))
         assert schoolbook_mul(got.coeffs, den, order) == num
 
-    @given(st.data(), st.integers(1, 200))
-    def test_mod2_times_denominator_gives_numerator(self, data, order):
-        num = TruncatedSeries(data.draw(st.lists(st.integers(0, 1), min_size=order, max_size=order)), MOD2)
-        tail = data.draw(st.lists(st.integers(0, 1), min_size=order - 1, max_size=order - 1))
-        den = TruncatedSeries([1] + tail, MOD2)
-        got = series_div(num, den)
-        assert gf2_schoolbook_mul(got.bits, den.bits, order) == num.bits
-
 
 class TestEulerProduct:
     def test_step1_is_pentagonal_sequence(self):
         got = euler_product(1, 1, 13).coeffs
         assert got == (1, -1, -1, 0, 0, 1, 0, 1, 0, 0, 0, 0, -1)
-
-    def test_reciprocal_power_counts_partitions(self):
-        assert euler_product(1, -1, 6).coeffs == (1, 1, 2, 3, 5, 7)
 
     def test_step2_first_factor(self):
         assert euler_product(2, 1, 3).coeffs == (1, 0, -1)
@@ -226,31 +232,31 @@ class TestEulerProduct:
     def test_power_zero_is_identity(self):
         assert euler_product(3, 0, 7) == TruncatedSeries.one(7)
 
-    @pytest.mark.parametrize("power", [2, 3, -2])
+    @pytest.mark.parametrize("domain", [INTEGERS, MOD2])
+    @pytest.mark.parametrize("power", [-1, -2])
+    def test_negative_power_rejected(self, power, domain):
+        with pytest.raises(ValueError, match="power must be >= 0"):
+            euler_product(1, power, 10, domain)
+
+    @pytest.mark.parametrize("power", [2, 3, 4])
     def test_powers_consistent_with_mul(self, power):
         base = euler_product(1, 1, 50)
         expected = base
-        for _ in range(abs(power) - 1):
+        for _ in range(power - 1):
             expected = series_mul(expected, base)
-        if power < 0:
-            expected = series_recip(expected)
         assert euler_product(1, power, 50) == expected
 
     @pytest.mark.parametrize("order", [1, 2, 9, 64, 200])
     @pytest.mark.parametrize("step", [1, 2, 3, 4, 5])
     def test_matches_factor_by_factor_product(self, step, order):
         base = euler_product_by_factors(step, order)
-        one = [1] + [0] * (order - 1)
-        expected = [one]
+        expected = [[1] + [0] * (order - 1)]
         for _ in range(4):
             expected.append(schoolbook_mul(expected[-1], base, order))
-        for power in range(-2, 5):
+        for power in range(5):
             for domain in (INTEGERS, MOD2):
                 got = list(euler_product(step, power, order, domain).coeffs)
-                want = expected[power] if power >= 0 else one
-                if power < 0:
-                    # inverses are unique, so got * base^|power| == 1 pins got
-                    got = schoolbook_mul(got, expected[-power], order)
+                want = expected[power]
                 if domain is MOD2:
                     got, want = [c & 1 for c in got], [c & 1 for c in want]
                 assert got == want, (power, domain)
@@ -258,10 +264,45 @@ class TestEulerProduct:
     @given(st.integers(1, 300))
     def test_mod2_domain_agrees_with_reduction(self, order):
         for step in range(1, 6):
-            for power in range(-2, 5):
+            for power in range(5):
                 assert euler_product(step, power, order, MOD2) == reduce_mod2(
                     euler_product(step, power, order)
                 ), (step, power)
+
+
+class TestPartitionParity:
+    # R = 1/(q;q) mod 2 from R(q) = psi(q) * R(q^4), against a Newton
+    # reciprocal, the partition numbers and one product with (q;q)
+
+    def test_matches_newton_reciprocal_at_every_small_order(self):
+        euler = sum(c % 2 << i for i, c in enumerate(euler_product_by_factors(1, 300)))
+        for order in range(1, 301):
+            want = gf2_newton_recip(euler & ((1 << order) - 1), order)
+            assert partition_parity(order).bits == want, order
+
+    def test_matches_newton_reciprocal_at_1e5(self):
+        order = 10**5
+        want = gf2_newton_recip(euler_product(1, 1, order, MOD2).bits, order)
+        assert partition_parity(order).bits == want
+
+    @pytest.mark.parametrize("order", sorted({4**k + d for k in range(7) for d in (-1, 0, 1)} - {0}))
+    def test_times_euler_product_is_one(self, order):
+        r = partition_parity(order)
+        assert r.order == order and r.domain is MOD2
+        assert series_mul(r, euler_product(1, 1, order, MOD2)) == TruncatedSeries.one(order, MOD2)
+
+    def test_digits_are_partition_numbers_mod_2(self):
+        parities = "".join(str(p & 1) for p in partition_counts(500))
+        for order in range(1, 501):
+            assert partition_parity(order).digits == parities[:order], order
+
+    def test_memoized(self):
+        assert partition_parity(77) is partition_parity(77)
+
+    @pytest.mark.parametrize("order", [0, -4])
+    def test_order_below_one_rejected(self, order):
+        with pytest.raises(ValueError):
+            partition_parity(order)
 
 
 class TestNamedSeries:
@@ -393,23 +434,6 @@ class TestFreshmansDream:
                 assert sq.coeff(n) == s.coeff(n // 2)
             else:
                 assert sq.coeff(n) == 0
-
-    @given(
-        st.one_of(
-            st.integers(0, 2**2000),
-            # top bit at 8k - 1 or 8k, the last bit of a byte or the first
-            st.builds(
-                lambda k, d, low: 1 << (8 * k + d) | low % (1 << (8 * k + d)),
-                st.integers(1, 80),
-                st.sampled_from((-1, 0)),
-                st.integers(0, 2**700),
-            ),
-        )
-    )
-    @example(0)
-    def test_dilate_spreads_bit_i_to_bit_2i(self, x):
-        want = sum(1 << 2 * i for i in range(x.bit_length()) if x >> i & 1)
-        assert _gf2_dilate(x) == want
 
     def test_euler_square_is_dilated_euler(self):
         assert reduce_mod2(euler_product(1, 2, 240)) == reduce_mod2(euler_product(2, 1, 240))
