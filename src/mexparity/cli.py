@@ -145,9 +145,9 @@ def main(argv: list[str] | None = None) -> None:
     for name, low in (("limit", 1 if args.command == "compute" else 2), ("modulus", 1)):
         if getattr(args, name, low) < low:
             parser.error(f"--{name} must be at least {low}")
-    if args.out and (os.path.isdir(args.out) or not os.access(args.out, os.W_OK)
-                     and os.path.exists(args.out)):
-        parser.error(f"--out {args.out!r} is a directory or not writable")
+    if args.out and (os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(args.out) or ".")
+                     or os.path.exists(args.out) and not os.access(args.out, os.W_OK)):
+        parser.error(f"--out {args.out!r} is a directory, not writable or in a missing directory")
     failed = False
     try:
         if args.command == "compute":

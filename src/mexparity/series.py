@@ -34,10 +34,13 @@ from itertools import count, repeat, takewhile
 from operator import index
 from typing import Iterable, Iterator, Sequence
 
+from .errors import OrderLimitError
+
 __all__ = [
     "Domain",
     "INTEGERS",
     "MOD2",
+    "MOD2_ORDER_CEILING",
     "TruncatedSeries",
     "series_mul",
     "series_recip",
@@ -63,6 +66,15 @@ class Domain(enum.Enum):
 
 INTEGERS = Domain.INTEGERS
 MOD2 = Domain.MOD2
+
+# largest order of a GF(2) series: the parity catalog peaks at 89 MiB at
+# order 10^7 and 21 MiB at 10^6, so 10^8 is about 0.8 GiB (extrapolated)
+MOD2_ORDER_CEILING = 10**8
+
+
+def _require_mod2_order(order: int) -> None:
+    if order > MOD2_ORDER_CEILING:
+        raise OrderLimitError(f"mod-2 series order {order} exceeds the ceiling {MOD2_ORDER_CEILING}")
 
 
 class TruncatedSeries:
@@ -216,7 +228,6 @@ def series_recip(a: TruncatedSeries) -> TruncatedSeries:
     return series_div(TruncatedSeries.one(a.order, a.domain), a)
 
 
-@lru_cache(maxsize=256)
 def euler_product(step: int, power: int, order: int, domain: Domain = INTEGERS) -> TruncatedSeries:
     """The infinite product prod_{k>=1} (1 - q^(step*k)) raised to `power` >= 0.
 
@@ -238,7 +249,8 @@ def euler_product(step: int, power: int, order: int, domain: Domain = INTEGERS) 
     return reduce(series_mul, repeat(base, power - 1), base)
 
 
-# the bound, shared by every sweep, and the dissection check's two orders
+# 4 entries: `verify --suite all` asks for 3 orders, the bound shared by
+# every sweep and the dissection check's two, and hits 17 times in 20 calls
 @lru_cache(maxsize=4)
 def partition_parity(order: int) -> TruncatedSeries:
     """R = 1/(q;q)_inf over GF(2): coefficient n is p(n) mod 2.
@@ -246,10 +258,12 @@ def partition_parity(order: int) -> TruncatedSeries:
     Mod 2, (q;q)^3 = psi(q) (Jacobi) and (q;q)^4 = (q^4;q^4) (squaring is a
     dilation), so R(q) = psi(q) * R(q^4): R at order n is one product of
     psi(q), about sqrt(2n) terms, with R at order ceil(n/4) dilated by 4.
-    R is built up from order 1 through the orders ceil(order / 4^k).
+    R is built up from order 1 through the orders ceil(order / 4^k).  An
+    order above MOD2_ORDER_CEILING raises OrderLimitError.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
+    _require_mod2_order(order)
     orders = [order]
     while orders[-1] > 1:
         orders.append((orders[-1] + 3) // 4)
@@ -312,6 +326,8 @@ def _from_terms(
     # infinite) stream
     if order < 1:
         raise ValueError("order must be >= 1")
+    if domain is MOD2:
+        _require_mod2_order(order)
     window = list(takewhile(lambda term: term[0] < order, terms))
     if domain is MOD2:
         bits = _bits_of((e for e, c in window if c & 1), order)

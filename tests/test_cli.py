@@ -173,23 +173,38 @@ class TestScanCommand:
         assert run("scan", "--t", "2", "--modulus", "4", "--limit", "100").exit_code == 2
 
 
+OUT_COMMANDS = [("compute", "--t", "5"), ("verify", "--suite", "p11"),
+                ("scan", "--t", "9", "--modulus", "18")]
+
+
 class TestUsage:
     def test_no_subcommand_is_usage_error(self):
         assert run().exit_code == 2
 
-    @pytest.mark.parametrize("args", [("compute", "--t", "5"), ("verify", "--suite", "p11"),
-                                      ("scan", "--t", "9", "--modulus", "18")])
-    def test_out_directory_is_usage_error_before_any_build(self, monkeypatch, tmp_path, args):
-        def no_build(*a):
+    @pytest.fixture
+    def no_build(self, monkeypatch):
+        def fail(*a):
             raise AssertionError("something was built for an unusable --out")
 
         for module, name in [(genfun, "ptt_mod2_series"), (genfun, "ptt_series"),
                              (verify, "run_suite"), (verify, "scan_congruences")]:
-            monkeypatch.setattr(module, name, no_build)
+            monkeypatch.setattr(module, name, fail)
+
+    @pytest.mark.parametrize("args", OUT_COMMANDS)
+    def test_out_directory_is_usage_error_before_any_build(self, no_build, tmp_path, args):
         result = run(*args, "--out", str(tmp_path))
         assert result.exit_code == 2
         assert "directory" in result.output
         assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("args", OUT_COMMANDS)
+    def test_out_in_missing_directory_is_usage_error_before_any_build(self, no_build, tmp_path, args):
+        target = tmp_path / "missing" / "x.txt"
+        result = run(*args, "--out", str(target))
+        assert result.exit_code == 2
+        assert "usage:" in result.output and "missing directory" in result.output
+        assert "Traceback" not in result.output
+        assert not target.parent.exists()
 
     def test_import_path_has_no_click_dataclasses_or_inspect(self):
         # each of these costs 10-20 ms at every start; only the modules that

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,7 +15,7 @@ from mexparity.genfun import (
     ptt_series,
 )
 from mexparity.partitions import MexSpec, a_t_direct, p_direct
-from mexparity.series import MOD2, TruncatedSeries, reduce_mod2
+from mexparity.series import MOD2, TruncatedSeries, partition_parity, reduce_mod2
 from mexparity.verify import verify_dissection_identities
 from oracles import product_form, product_form_mod2
 
@@ -82,6 +84,22 @@ class TestMod2OrderCeiling:
         monkeypatch.setattr(genfun, "partition_parity", no_build)
         with pytest.raises(OrderLimitError, match="ceiling 100000000"):
             make(t, MOD2_ORDER_CEILING + 1)
+
+
+class TestRetention:
+    def test_acore_builds_retain_less_than_one_series(self):
+        # only R is memoized at this order: no sparse Euler factor, a full
+        # N-bit mask each, outlives the build that used it
+        order = 200_003
+        partition_parity(order)
+        tracemalloc.start()
+        try:
+            for t in (3, 5, 7, 11, 13, 17, 19, 23, 25):
+                acore_mod2_series(t, order)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < order // 8
 
 
 class TestPttMod2Series:

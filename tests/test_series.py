@@ -4,9 +4,13 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
+import mexparity
+from mexparity import genfun, series
+from mexparity.errors import OrderLimitError
 from mexparity.series import (
     INTEGERS,
     MOD2,
+    MOD2_ORDER_CEILING,
     TruncatedSeries,
     alternating_triangular,
     dissect,
@@ -303,6 +307,41 @@ class TestPartitionParity:
     def test_order_below_one_rejected(self, order):
         with pytest.raises(ValueError):
             partition_parity(order)
+
+
+class TestMod2OrderCeiling:
+    def test_one_ceiling_object_for_every_module(self):
+        assert MOD2_ORDER_CEILING == 10**8
+        assert genfun.MOD2_ORDER_CEILING is MOD2_ORDER_CEILING
+        assert mexparity.MOD2_ORDER_CEILING is MOD2_ORDER_CEILING
+
+    @pytest.fixture
+    def no_build(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a GF(2) series was built past the ceiling")
+
+        for name in ("_bits_of", "_gf2_mul", "alternating_triangular"):
+            monkeypatch.setattr(series, name, fail)
+
+    def test_partition_parity_raises_before_building(self, no_build):
+        with pytest.raises(OrderLimitError, match="ceiling 100000000"):
+            partition_parity(MOD2_ORDER_CEILING + 1)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda n: euler_product(1, 1, n, MOD2),
+            lambda n: alternating_triangular(1, n, MOD2),
+            lambda n: TruncatedSeries.zero(n, MOD2),
+            lambda n: TruncatedSeries.one(n, MOD2),
+        ],
+    )
+    def test_sparse_constructors_raise_before_building(self, no_build, make):
+        with pytest.raises(OrderLimitError, match="ceiling 100000000"):
+            make(MOD2_ORDER_CEILING + 1)
+
+    def test_the_ceiling_itself_is_accepted(self):
+        assert TruncatedSeries.zero(MOD2_ORDER_CEILING, MOD2).order == MOD2_ORDER_CEILING
 
 
 class TestNamedSeries:

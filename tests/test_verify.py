@@ -6,7 +6,7 @@ from math import isqrt
 import pytest
 from hypothesis import given, strategies as st
 
-from mexparity import series, verify
+from mexparity import genfun, series, verify
 from mexparity.errors import LimitError, OrderLimitError
 from mexparity.genfun import MOD2_ORDER_CEILING, ptt_mod2_series
 from mexparity.partitions import EnumerationLimitError, MexSpec, p_direct
@@ -631,6 +631,32 @@ class TestMod2OrderCeiling:
 
     def test_the_ceiling_itself_is_accepted(self):
         assert verify._checked_bound(MOD2_ORDER_CEILING) == MOD2_ORDER_CEILING
+
+
+class TestCacheWorkingSet:
+    # (hits, misses) of partition_parity and ptt_mod2_series over one suite
+    # at bound 40, the same as at 10^5; the cache sizes are set from these
+    COUNTS = {
+        "all": ((17, 3), (4, 11)),
+        "p11": ((0, 1), (2, 1)),
+        "p33": ((0, 1), (2, 1)),
+        "crank-rank": ((0, 0), (0, 0)),
+        "theorem6": ((13, 1), (0, 7)),
+        "corollaries": ((1, 1), (2, 2)),
+        "identities": ((2, 2), (0, 2)),
+    }
+
+    @pytest.mark.parametrize("name", SUITES)
+    def test_hits_and_misses(self, name):
+        caches = (series.partition_parity, genfun.ptt_mod2_series)
+        for cache in caches:
+            cache.cache_clear()
+        run_suite(name, 40)
+        got = tuple((c.cache_info().hits, c.cache_info().misses) for c in caches)
+        assert got == self.COUNTS[name]
+
+    def test_euler_product_is_not_cached(self):
+        assert not hasattr(series.euler_product, "cache_info")
 
 
 class TestSuiteRunner:
