@@ -33,8 +33,8 @@ CHUNK = 1 << 14  # rows per chunk that `compute` renders and writes at a time
 
 _COLUMNS = {
     "coefficient": ("t", "n", "value"),
-    "report": ("theorem_id", "range", "passed", "counterexample", "detail"),
-    "claim": ("t", "modulus", "residue", "checked_bound", "status", "witness"),
+    "report": verify.VerificationReport._fields,
+    "claim": verify.CongruenceClaim.COLUMNS,
 }
 
 
@@ -89,13 +89,16 @@ def _coefficient_chunks(t: int, series: TruncatedSeries, fmt: str) -> Iterator[s
         yield "".join(map(line.format, range(lo, hi), vals[lo:hi]))
 
 
-def _emit(chunks: Iterable[str], out: str | None) -> None:
-    if out:
-        with open(out, "w", newline="") as fh:
-            fh.writelines(chunks)
-    else:
+def _emit(chunks: Iterable[str], out: io.TextIOWrapper | None) -> None:
+    # out is the --out FILE that main opened for appending, or None for stdout
+    if out is None:
         sys.stdout.writelines(chunks)
         sys.stdout.flush()
+        return
+    with out:
+        if os.path.isfile(out.name):
+            out.truncate(0)  # a regular FILE's old contents are replaced
+        out.writelines(chunks)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -145,9 +148,16 @@ def main(argv: list[str] | None = None) -> None:
     for name, low in (("limit", 1 if args.command == "compute" else 2), ("modulus", 1)):
         if getattr(args, name, low) < low:
             parser.error(f"--{name} must be at least {low}")
-    if args.out and (os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(args.out) or ".")
-                     or os.path.exists(args.out) and not os.access(args.out, os.W_OK)):
-        parser.error(f"--out {args.out!r} is a directory, not writable or in a missing directory")
+    out = None
+    if args.out:
+        # opened once, for appending, which truncates nothing: a request
+        # refused below by a ceiling leaves an existing FILE as it was, and
+        # a new one empty
+        try:
+            out = open(args.out, "a", newline="")
+        except OSError as exc:
+            parser.error(f"--out {args.out!r} cannot be opened: {exc.strerror} (FILE must be "
+                         "writable, not a directory and not in a missing directory)")
     failed = False
     try:
         if args.command == "compute":
@@ -162,10 +172,12 @@ def main(argv: list[str] | None = None) -> None:
             claims = verify.scan_congruences(args.t, args.modulus, args.limit)
             chunks = [_render("claim", [c.to_record() for c in claims], args.fmt)]
     except LimitError as exc:
+        if out is not None:
+            out.close()
         # its message names the ceiling the request is past
         parser.error(str(exc))
     try:
-        _emit(chunks, args.out)
+        _emit(chunks, out)
     except BrokenPipeError:
         # the reader is gone; point stdout at devnull so that the flush at
         # exit cannot fail a second time

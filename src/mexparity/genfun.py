@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import OrderLimitError
-from .series import (
+from .series import (  # MOD2_ORDER_CEILING stays importable from here
     MOD2,
     MOD2_ORDER_CEILING,
     TruncatedSeries,
@@ -57,11 +57,6 @@ def _require_int_order(order: int) -> None:
         )
 
 
-def _require_mod2_order(order: int) -> None:
-    if order > MOD2_ORDER_CEILING:
-        raise OrderLimitError(f"mod-2 series order {order} exceeds the ceiling {MOD2_ORDER_CEILING}")
-
-
 def ptt_series(t: int, order: int) -> TruncatedSeries:
     """Integer series whose coefficient of q^n counts partitions of n with
     mex_{t,t} congruent to t mod 2t.
@@ -83,9 +78,9 @@ def ptt_series(t: int, order: int) -> TruncatedSeries:
 def ptt_mod2_series(t: int, order: int) -> TruncatedSeries:
     """Parity of ptt_series: the same formula over GF(2), where the
     alternating triangular sum is psi(q^t).  Even t is rejected, and an
-    order above MOD2_ORDER_CEILING raises OrderLimitError."""
+    order above MOD2_ORDER_CEILING raises partition_parity's OrderLimitError
+    before anything is built."""
     _require_odd_t(t)
-    _require_mod2_order(order)
     return series_mul(partition_parity(order), alternating_triangular(t, order, MOD2))
 
 
@@ -113,10 +108,10 @@ def _times_euler_power_mod2(s: TruncatedSeries, step: int, power: int) -> Trunca
 def acore_mod2_series(t: int, order: int) -> TruncatedSeries:
     """Parity of the t-core counts over GF(2): 1/(q;q) times one factor
     (q^(t*2^i);q^(t*2^i)) per set bit i of t, which is (q^t;q^t)^t mod 2.
-    An order above MOD2_ORDER_CEILING raises OrderLimitError."""
+    An order above MOD2_ORDER_CEILING raises partition_parity's
+    OrderLimitError before anything is built."""
     if t < 2:
         raise ValueError("t must be at least 2")
-    _require_mod2_order(order)
     return _times_euler_power_mod2(partition_parity(order), t, t)
 
 

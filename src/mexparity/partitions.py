@@ -17,6 +17,7 @@ the caller.  Past the ceiling an EnumerationLimitError is raised instead.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Iterator, Sequence
 
 from .errors import EnumerationLimitError
@@ -51,6 +52,8 @@ class MexSpec:
     __slots__ = ("A", "a")
 
     def __init__(self, A: int, a: int):
+        # index() takes ints and bools only: a float or a str is a TypeError
+        A, a = index(A), index(a)
         if A < 1:
             raise ValueError("modulus A must be a positive integer")
         if not 1 <= a <= A:

@@ -90,7 +90,7 @@ class TruncatedSeries:
     order: int
     domain: Domain
 
-    def __init__(self, coeffs: Iterable[int], domain: Domain = INTEGERS):
+    def __new__(cls, coeffs: Iterable[int], domain: Domain = INTEGERS):
         # index() takes ints and bools only: a float or a str is a TypeError
         data = tuple(map(index, coeffs))
         if not data:
@@ -101,12 +101,12 @@ class TruncatedSeries:
                 if c not in (0, 1):
                     raise ValueError(f"Mod2 coefficients must be 0 or 1, got {c} at q^{i}")
             data = _bits_of((i for i, c in enumerate(data) if c), order)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "_data", data)
+        return cls._make(data, order, domain)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedSeries is immutable")
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"TruncatedSeries is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
     def __reduce__(self):
         # copy and pickle rebuild through _make, not slot assignment
@@ -116,8 +116,8 @@ class TruncatedSeries:
 
     @classmethod
     def _make(cls, data, order: int, domain: Domain) -> "TruncatedSeries":
-        # trusted internal path: a MOD2 bitmask < 2**order or an INTEGERS
-        # tuple of length order
+        # trusted internal path and the only writer of the slots: a MOD2
+        # bitmask < 2**order or an INTEGERS tuple of length order
         self = object.__new__(cls)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "domain", domain)

@@ -6,9 +6,10 @@ first counterexample: the smallest failing index in the first family (in
 the checker's stated order) that fails.  A sweep over indices below an
 exclusive bound needs bound >= 2, so that index 1 is in range; a smaller
 bound, like an empty list of families, is a ValueError, never a vacuous
-pass.  A bound above genfun.MOD2_ORDER_CEILING raises OrderLimitError,
-and a scan modulus above SCAN_MODULUS_CEILING (10^6) a LimitError,
-before anything is built.  Every family is read as slices of the parity
+pass.  A bound above series.MOD2_ORDER_CEILING raises OrderLimitError,
+as does an identity order above IDENTITY_CEILING (10^4), and a scan
+modulus above SCAN_MODULUS_CEILING (10^6) a LimitError, before anything
+is built.  Every family is read as slices of the parity
 series' digit string, q^0 first.  Nothing here proves anything: a passing
 report means "no counterexample below the stated bound", full stop.  The
 scanner makes that explicit by emitting CongruenceClaim records that are
@@ -27,13 +28,8 @@ from math import isqrt
 from operator import add, sub
 from typing import Iterable, NamedTuple
 
-from .errors import LimitError
-from .genfun import (
-    _require_mod2_order,
-    acore_mod2_series,
-    dissection_identity_check,
-    ptt_mod2_series,
-)
+from .errors import LimitError, OrderLimitError
+from .genfun import acore_mod2_series, dissection_identity_check, ptt_mod2_series
 from .partitions import (
     ENUMERATION_CEILING,
     MexSpec,
@@ -42,6 +38,7 @@ from .partitions import (
     rank,
 )
 from .series import (
+    MOD2_ORDER_CEILING,
     TruncatedSeries,
     euler_pentagonal,
     jacobi_cube,
@@ -86,9 +83,9 @@ THEOREM6_RESIDUES: dict[int, tuple[int, ...]] = {
 }
 
 DEFAULT_QNR_PRIMES = (5, 7, 11, 13, 17)
-# run_suite's order for the integer identities, whose literal Euler product
-# costs about order^2/4 coefficient updates: 10^4 is the order the
-# acceptance suite checks them at
+# largest order verify_series_identities accepts, and run_suite's clamp for
+# it: the literal Euler product costs about order^2/4 coefficient updates,
+# and 10^4 is the order the acceptance suite checks them at
 IDENTITY_CEILING = 10**4
 # largest modulus scan_congruences accepts: it builds one claim per class,
 # about 0.9 KiB each, so 10^6 classes take about 0.9 GiB
@@ -166,15 +163,12 @@ class CongruenceClaim(_Claim):
             return "unchecked"
         return "verified-to-bound"
 
+    # the record's keys in order: the fields, with the derived status
+    # before the witness
+    COLUMNS = ("t", "modulus", "residue", "checked_bound", "status", "witness")
+
     def to_record(self) -> dict:
-        return {
-            "t": self.t,
-            "modulus": self.modulus,
-            "residue": self.residue,
-            "checked_bound": self.checked_bound,
-            "status": self.status,
-            "witness": self.witness,
-        }
+        return {c: getattr(self, c) for c in self.COLUMNS}
 
 
 # ---------------------------------------------------------------------------
@@ -204,28 +198,13 @@ def is_square_3n1(n: int) -> bool:
     return r * r == v
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p % 2 == 0:
-        return p == 2
-    if p % 3 == 0:
-        return p == 3
-    f = 5
-    while f * f <= p:
-        if p % f == 0 or p % (f + 2) == 0:
-            return False
-        f += 6
-    return True
-
-
 def legendre_nonresidue(x: int, p: int) -> bool:
     """True iff x is a quadratic non-residue modulo the prime p >= 5.
 
     Euler's criterion via modular exponentiation; x = 0 mod p is neither
     a residue nor a non-residue and returns False.
     """
-    if p < 5 or not _is_prime(p):
+    if p < 5 or any(p % f == 0 for f in range(2, isqrt(p) + 1)):
         raise ValueError(f"p must be a prime >= 5, got {p}")
     x %= p
     if x == 0:
@@ -263,7 +242,8 @@ def _checked_bound(bound: int) -> int:
     # every sweep's bound, checked before anything of its size is allocated
     if bound < 2:
         raise ValueError("bound must be >= 2 so that at least index 1 is checked")
-    _require_mod2_order(bound)
+    if bound > MOD2_ORDER_CEILING:
+        raise OrderLimitError(f"mod-2 series order {bound} exceeds the ceiling {MOD2_ORDER_CEILING}")
     return bound
 
 
@@ -497,7 +477,11 @@ def verify_series_identities(order: int) -> list[VerificationReport]:
     (q;q) is multiplied out once, factor by factor and largest factor
     first (about order^2/4 coefficient updates), independently of
     series.euler_product, and (q^2;q^2) is that same product at q -> q^2.
+    An order above IDENTITY_CEILING raises OrderLimitError before anything
+    is built.
     """
+    if order > IDENTITY_CEILING:
+        raise OrderLimitError(f"identity order {order} exceeds the ceiling {IDENTITY_CEILING}")
     euler = _literal_euler_product(order)
     euler2 = _at_q_squared(euler)
     return [

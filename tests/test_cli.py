@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from types import SimpleNamespace
 from unittest import mock
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import mexparity
-from mexparity import genfun, verify
+from mexparity import genfun, series, verify
 from mexparity.cli import CHUNK, _coefficient_chunks, _render, main
 from mexparity.genfun import ptt_mod2_series, ptt_series
 from mexparity.series import TruncatedSeries
@@ -206,6 +207,40 @@ class TestUsage:
         assert "Traceback" not in result.output
         assert not target.parent.exists()
 
+    @pytest.mark.parametrize("args", OUT_COMMANDS)
+    def test_unopenable_out_is_usage_error_before_any_build(self, no_build, tmp_path, args):
+        # both pass a check of the path's shape, but open() refuses them
+        dangling = tmp_path / "link"
+        dangling.symlink_to(tmp_path / "missing" / "x.txt")
+        for target in (tmp_path / ("x" * 300), dangling):
+            result = run(*args, "--out", str(target))
+            assert result.exit_code == 2
+            assert "usage:" in result.output
+            assert "Traceback" not in result.output
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link"]
+
+    def test_out_can_be_a_named_pipe(self, tmp_path):
+        # --out is opened once: a second open would find the reader gone
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+        reader.start()
+        args = ("compute", "--t", "3", "--limit", "5")
+        child = subprocess.run([sys.executable, "-m", "mexparity.cli", *args, "--out", str(fifo)],
+                               env=child_env(), capture_output=True, text=True, timeout=20)
+        reader.join(timeout=20)
+        assert child.returncode == 0
+        assert got == [run(*args).output]
+
+    def test_refused_request_keeps_an_existing_out(self, tmp_path):
+        target = tmp_path / "x.txt"
+        target.write_text("kept\n")
+        result = run("verify", "--suite", "p11", "--limit", str(genfun.MOD2_ORDER_CEILING + 1),
+                     "--out", str(target))
+        assert result.exit_code == 2
+        assert target.read_text() == "kept\n"
+
     def test_import_path_has_no_click_dataclasses_or_inspect(self):
         # each of these costs 10-20 ms at every start; only the modules that
         # importing the CLI adds are counted, not what site hooks load
@@ -230,8 +265,10 @@ class TestCeilings:
         def no_build(*a):
             raise AssertionError("something was built past the ceiling")
 
-        for module, name in [(genfun, "euler_product"), (genfun, "partition_parity"),
-                             (verify, "nonzero_indices"),
+        # partition_parity is the check for compute, and it would build R
+        # with these two
+        for module, name in [(genfun, "euler_product"), (series, "alternating_triangular"),
+                             (series, "_gf2_mul"), (verify, "nonzero_indices"),
                              (verify, "ptt_mod2_series"), (verify, "enumerate_partitions")]:
             monkeypatch.setattr(module, name, no_build)
         result = run(*args, "--limit", str(genfun.MOD2_ORDER_CEILING + 1))

@@ -41,3 +41,21 @@ def test_only_series_knows_the_gf2_storage():
             ):
                 offences.append((path.name, "TruncatedSeries._make"))
     assert offences == []
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a private name stays in its module: no `from .x import _y`, and no
+    # `x._y` on a package module imported as `from . import x`
+    offences = []
+    for path in sorted(Path(mexparity.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]
+        modules = {a.asname or a.name for node in imports if not node.module for a in node.names}
+        offences += [(path.name, a.name) for node in imports for a in node.names if a.name.startswith("_")]
+        offences += [
+            (path.name, f"{node.value.id}.{node.attr}")
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+            and isinstance(node.value, ast.Name) and node.value.id in modules
+        ]
+    assert offences == []

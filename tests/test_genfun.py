@@ -3,7 +3,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
-from mexparity import genfun
+from mexparity import genfun, series
 from mexparity.errors import LimitError, OrderLimitError
 from mexparity.genfun import (
     INT_ORDER_CEILING,
@@ -74,14 +74,18 @@ class TestIntOrderCeiling:
 
 
 class TestMod2OrderCeiling:
-    @pytest.mark.parametrize("make, t", [(ptt_mod2_series, 3), (acore_mod2_series, 5)])
+    @pytest.mark.parametrize(
+        "make, t", [(ptt_mod2_series, 3), (acore_mod2_series, 5), (dissection_identity_check, 7)]
+    )
     def test_past_the_ceiling_raises_before_building(self, monkeypatch, make, t):
         def no_build(*args):
             raise AssertionError("a series was built past the ceiling")
 
         monkeypatch.setattr(genfun, "euler_product", no_build)
         monkeypatch.setattr(genfun, "alternating_triangular", no_build)
-        monkeypatch.setattr(genfun, "partition_parity", no_build)
+        # partition_parity is the check, and it would build R with these two
+        monkeypatch.setattr(series, "alternating_triangular", no_build)
+        monkeypatch.setattr(series, "_gf2_mul", no_build)
         with pytest.raises(OrderLimitError, match="ceiling 100000000"):
             make(t, MOD2_ORDER_CEILING + 1)
 

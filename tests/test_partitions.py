@@ -99,6 +99,13 @@ class TestMex:
         with pytest.raises(ValueError):
             MexSpec(3, 0)
 
+    @pytest.mark.parametrize("A, a", [(2.5, 1), (3, 1.0), (3.0, 3), ("3", 3), (3, None)])
+    def test_spec_parameters_must_be_integers(self, A, a):
+        # a float passes the range checks, and mex would then step through
+        # candidates that no part can equal
+        with pytest.raises(TypeError):
+            MexSpec(A, a)
+
     def test_spec_is_an_immutable_value(self):
         spec = MexSpec(A=3, a=3)
         assert spec == MexSpec(3, 3) and hash(spec) == hash(MexSpec(3, 3))
@@ -187,6 +194,9 @@ class TestRankCrank:
     @given(partitions_of)
     def test_conjugation_is_an_involution(self, parts):
         assert conjugate(conjugate(parts)) == parts
+
+    def test_conjugate_of_the_empty_partition(self):
+        assert conjugate(()) == ()
 
 
 class TestHooks:

@@ -80,6 +80,20 @@ class TestConstruction:
         with pytest.raises(AttributeError):
             s.order = 5
 
+    @pytest.mark.parametrize("slot", ["order", "domain", "_data"])
+    def test_slots_cannot_be_deleted(self, slot):
+        # the series is memoized: a deleted slot would break every later call
+        s = genfun.ptt_mod2_series(1, 50)
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(s, slot)
+        assert genfun.ptt_mod2_series(1, 50).digits.startswith("10101")
+
+    @pytest.mark.parametrize("other", [1, [1], (1,), "1", None])
+    def test_never_equal_to_a_non_series(self, other):
+        for s in (TruncatedSeries([1]), TruncatedSeries([1], MOD2)):
+            assert s.__eq__(other) is NotImplemented
+            assert s != other
+
     @pytest.mark.parametrize(
         "s", [TruncatedSeries([1, -2, 0, 2**70]), TruncatedSeries([1, 0, 1, 1, 0], MOD2)]
     )
@@ -345,6 +359,11 @@ class TestMod2OrderCeiling:
 
 
 class TestNamedSeries:
+    @pytest.mark.parametrize("order", [0, -1])
+    def test_order_below_one_rejected(self, order):
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            euler_pentagonal(order)
+
     def test_pentagonal_small(self):
         assert euler_pentagonal(8).coeffs == (1, -1, -1, 0, 0, 1, 0, 1)
 
@@ -418,6 +437,10 @@ class TestDissect:
     def test_bad_residue(self):
         with pytest.raises(ValueError):
             dissect(TruncatedSeries([1, 2, 3]), 2, 2)
+
+    def test_bad_modulus(self):
+        with pytest.raises(ValueError, match="modulus"):
+            dissect(TruncatedSeries([1, 2, 3]), 0, 0)
 
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError):

@@ -112,6 +112,22 @@ class TestLegendre:
         with pytest.raises(ValueError):
             legendre_nonresidue(2, 3)
 
+    @pytest.mark.parametrize("p", [9, 15, 21, 25, 35, 49, 121, 143, 169])
+    def test_rejects_odd_composites(self, p):
+        with pytest.raises(ValueError, match="prime"):
+            legendre_nonresidue(2, p)
+
+    def test_accepts_exactly_the_primes_below_200(self):
+        sieve = [True] * 200
+        for f in range(2, 15):
+            sieve[f * f :: f] = [False] * len(sieve[f * f :: f])
+        for p in range(5, 200):
+            if sieve[p]:
+                legendre_nonresidue(2, p)
+            else:
+                with pytest.raises(ValueError):
+                    legendre_nonresidue(2, p)
+
     @given(st.sampled_from([5, 7, 11, 13, 17, 19]), st.integers(0, 400))
     def test_matches_exhaustive_squares(self, p, x):
         squares = {(y * y) % p for y in range(p)}
@@ -272,6 +288,19 @@ class TestSweepContract:
         with pytest.raises(ValueError):
             CHECKERS[name](1)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: CongruenceClaim(5, 10, 2, 9, witness=-1),
+            lambda: verify_crank_rank(0),
+            lambda: verify_power4_families(-1, 10),
+        ],
+        ids=["negative-witness", "crank-rank-bound-0", "power4-max-m-negative"],
+    )
+    def test_out_of_range_arguments_rejected(self, call):
+        with pytest.raises(ValueError):
+            call()
+
     def test_characterization_reports_lowest_mismatch(self, monkeypatch):
         # predicate for t = 1 below 100: n in {2, 4, 10, 14, 24, ...}
         monkeypatch.setattr(verify, "ptt_mod2_series", planted({1: {0, 2, 3, 4, 10}}))
@@ -405,6 +434,14 @@ class TestSweepContract:
 
 
 class TestIdentitySuites:
+    def test_order_past_the_ceiling_raises_before_building(self, monkeypatch):
+        def no_build(order):
+            raise AssertionError("the literal product was built past the ceiling")
+
+        monkeypatch.setattr(verify, "_literal_euler_product", no_build)
+        with pytest.raises(OrderLimitError, match=f"ceiling {verify.IDENTITY_CEILING}"):
+            verify_series_identities(verify.IDENTITY_CEILING + 1)
+
     def test_series_identities(self):
         reports = verify_series_identities(500)
         assert [r.theorem_id for r in reports] == [
