@@ -23,20 +23,15 @@ trivial reasons and the parity statements all start at n = 1.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import accumulate, islice, zip_longest
 from math import isqrt
-from operator import add, sub
+from operator import sub
 from typing import Iterable, NamedTuple
 
 from .errors import LimitError, OrderLimitError
 from .genfun import acore_mod2_series, dissection_identity_check, ptt_mod2_series
-from .partitions import (
-    ENUMERATION_CEILING,
-    MexSpec,
-    crank,
-    enumerate_partitions,
-    rank,
-)
+from .partitions import ENUMERATION_CEILING, enumerate_partitions
 from .series import (
     MOD2_ORDER_CEILING,
     TruncatedSeries,
@@ -302,50 +297,54 @@ def verify_characterization(which: str, bound: int) -> VerificationReport:
     return _report(theorem_id, rng, None)
 
 
+def _family_stats(parts: tuple[int, ...]) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    # parts is a core, its k parts > 1, plus w ones, and stands for the
+    # family core + (1,)*j, 0 <= j <= w.  Returns w, the core's flags and the
+    # family's runs for crank >= 0, mex_{1,1} counted, rank >= -1 and mex_{3,3}
+    # counted: core + (1,)*j has a statistic for 1 <= j <= its run.  From the
+    # definitions: a non-empty core has crank parts[0] >= 0 and mex_{1,1} = 1
+    # (counted), the empty one no flags; for j >= 1 the crank #(core parts >
+    # j) - j is >= 0 iff j <= k and parts[j - 1] > j, mex_{1,1} is the first
+    # integer >= 2 missing, the rank parts[0] - k - j (1 - j for the empty
+    # core) is >= -1 up to j = parts[0] - k + 1 (2), and mex_{3,3} is fixed.
+    w = parts.count(1)
+    k = len(parts) - w
+    present = set(parts)
+    mex11 = 2
+    while mex11 in present:
+        mex11 += 1
+    mex33 = 3
+    while mex33 in present:
+        mex33 += 3
+    mex33_ok = mex33 % 6 == 3
+    if not k:
+        return w, (0, 0, 0, 0), (0, 0, min(w, 2), w * mex33_ok)
+    j, top = 0, min(w, k)
+    while j < top and parts[j] > j + 1:
+        j += 1
+    rank_top = parts[0] - k + 1
+    return w, (1, 1, rank_top >= 0, mex33_ok), (j, w * (mex11 % 2), max(0, min(w, rank_top)), w * mex33_ok)
+
+
 def _crank_rank_tallies(bound: int) -> list[tuple[int, int, int, int]]:
     # Entry n, 1 <= n <= bound, counts the partitions of n with crank >= 0,
     # mex_{1,1} in its counted class, rank >= -1 and mex_{3,3} in its counted
-    # class (entry 0 is all zeros), from one walk over the partitions of
-    # `bound`.  Such a partition with w ones is core + (1,)*w, where the core
-    # holds its k parts > 1 and weighs s = bound - w; it stands for the
-    # family core + (1,)*j = parts[:k + j], 0 <= j <= w, a partition of s + j.
-    # Stripping the ones is a bijection, so every partition of every n <=
-    # bound lies in exactly one family.  The core (j = 0) is tallied on its
-    # own, at s.  For j >= 1 both mex values are those of core + (1,), the
-    # rank falls by one per added one and the crank #(core parts > j) - j
-    # falls strictly, so each statistic holds on one run j = 1..J, found with
-    # one call (a walk of about sqrt(bound) calls for the crank) and recorded
-    # in a difference array.  The enumeration is started first, so a bound
-    # past its ceiling fails before any table is allocated.
-    walk = enumerate_partitions(bound)
-    spec11 = MexSpec(1, 1)
-    spec33 = MexSpec(3, 3)
-    cores = [[0] * (bound + 1) for _ in range(4)]
-    runs = [[0] * (bound + 2) for _ in range(4)]
-    crank_at, mex11_at, rank_at, mex33_at = cores
-    for parts in walk:
-        w = parts.count(1)
-        k = len(parts) - w
+    # class (entry 0 is all zeros), reading each partition of `bound` once.
+    # One with w ones has a core of weight s = bound - w whose family holds
+    # one partition of each weight s..bound; stripping the ones is a
+    # bijection, so every partition of every n <= bound is in one family.  A
+    # statistic holds at s + j for j from 0 (1 if the core lacks it) through
+    # its run: one interval of a difference array per distinct
+    # _family_stats value.  The enumeration is started first, so a bound past
+    # its ceiling fails before any table is allocated.
+    families = Counter(map(_family_stats, enumerate_partitions(bound)))
+    deltas = [[0] * (bound + 2) for _ in range(4)]
+    for (w, flags, runs), count in families.items():
         s = bound - w
-        if k:
-            core = parts[:k]
-            crank_at[s] += crank(core) >= 0
-            mex11_at[s] += spec11.counts(core)
-            rank_at[s] += rank(core) >= -1
-            mex33_at[s] += spec33.counts(core)
-        if w:
-            one = parts[: k + 1]
-            j = 0
-            while j < w and crank(parts[: k + j + 1]) >= 0:
-                j += 1
-            mex11_top = w if spec11.counts(one) else 0
-            mex33_top = w if spec33.counts(one) else 0
-            tops = (j, mex11_top, min(w, rank(one) + 2), mex33_top)
-            for d, top in zip(runs, tops):
-                if top > 0:
-                    d[s + 1] += 1
-                    d[s + top + 1] -= 1
-    return list(zip(*(map(add, c, accumulate(d)) for c, d in zip(cores, runs))))
+        for d, flag, run in zip(deltas, flags, runs):
+            d[s + 1 - flag] += count
+            d[s + run + 1] -= count
+    return list(zip(*map(accumulate, deltas)))[: bound + 1]
 
 
 def verify_crank_rank(bound: int) -> VerificationReport:
@@ -353,13 +352,13 @@ def verify_crank_rank(bound: int) -> VerificationReport:
 
     For every 1 <= n <= bound: the mex count for (1,1) equals the number
     of partitions of n with crank >= 0, and the mex count for (3,3)
-    equals the number with rank >= -1.  The counts for every n come from
-    one walk over the partitions of the bound itself: each one, with its
-    ones stripped, is a core of parts > 1 that together with j added ones
-    gives exactly one partition of each weight from the core's up to the
-    bound, and along that family of ones every statistic holds on a single
-    run of consecutive weights.  A bound past ENUMERATION_CEILING raises
-    the enumeration's EnumerationLimitError.
+    equals the number with rank >= -1.  Each partition of the bound is
+    read once: with its ones stripped, it is a core of parts > 1 that with
+    j added ones gives one partition of each weight from the core's up to
+    the bound, and along that family each statistic holds on one run of
+    weights whose end follows in closed form from the core's first parts,
+    its size and its smallest missing parts.  A bound past
+    ENUMERATION_CEILING raises the enumeration's EnumerationLimitError.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")

@@ -59,3 +59,29 @@ def test_no_module_imports_a_private_name_of_another():
             and isinstance(node.value, ast.Name) and node.value.id in modules
         ]
     assert offences == []
+
+
+def test_crank_rank_oracle_reads_no_series_code():
+    # the brute-force oracle stays independent of the series pipeline: the
+    # tally and every verify function it reaches name nothing that verify
+    # imports from series or genfun
+    tree = ast.parse(Path(verify.__file__).read_text(), verify.__file__)
+    series_names = {
+        a.asname or a.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module in ("series", "genfun")
+        for a in node.names
+    }
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    reached, todo, names = set(), ["_crank_rank_tallies"], set()
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        used = {node.id for node in ast.walk(functions[name]) if isinstance(node, ast.Name)}
+        names |= used
+        todo += sorted(used & functions.keys())
+    assert {"_crank_rank_tallies", "_family_stats"} <= reached
+    assert series_names >= {"ptt_mod2_series", "MOD2_ORDER_CEILING"}
+    assert names & series_names == set()

@@ -9,7 +9,15 @@ from hypothesis import given, strategies as st
 from mexparity import genfun, series, verify
 from mexparity.errors import LimitError, OrderLimitError
 from mexparity.genfun import MOD2_ORDER_CEILING, ptt_mod2_series
-from mexparity.partitions import EnumerationLimitError, MexSpec, p_direct
+from mexparity.partitions import (
+    ENUMERATION_CEILING,
+    EnumerationLimitError,
+    MexSpec,
+    crank,
+    enumerate_partitions,
+    p_direct,
+    rank,
+)
 from mexparity.series import (
     MOD2,
     TruncatedSeries,
@@ -43,6 +51,7 @@ from mexparity.verify import (
 )
 from oracles import (
     crank_rank_tallies_by_partition,
+    crank_unordered,
     euler_product_by_factors,
     pent_type_by_search,
 )
@@ -210,15 +219,36 @@ class TestCrankRank:
         assert verify_crank_rank(2).passed
 
     def test_tallies_equal_the_per_weight_route(self):
-        reference = [None] + [crank_rank_tallies_by_partition(n) for n in range(1, 31)]
+        reference = [None] + [crank_rank_tallies_by_partition(n) for n in range(1, 46)]
         for bound in range(1, 31):
             tallies = verify._crank_rank_tallies(bound)
             assert len(tallies) == bound + 1, bound
             assert tallies[0] == (0, 0, 0, 0)
             assert tallies[1:] == reference[1 : bound + 1], bound
-        tallies = verify._crank_rank_tallies(45)
-        for n in (43, 44, 45):
-            assert tallies[n] == crank_rank_tallies_by_partition(n), n
+        # the bound the CLI runs, compared at every weight
+        tallies = verify._crank_rank_tallies(ENUMERATION_CEILING)
+        assert tallies[0] == (0, 0, 0, 0)
+        assert tallies[1:] == reference[1:]
+
+    def test_family_stats_match_the_statistics_of_each_member(self):
+        # the closed forms, against the public statistics of every real
+        # tuple core + (1,)*j that a partition of n <= 25 stands for
+        spec11, spec33 = MexSpec(1, 1), MexSpec(3, 3)
+        for n in range(1, 26):
+            for parts in enumerate_partitions(n):
+                w, flags, runs = verify._family_stats(parts)
+                core = parts[: len(parts) - w]
+                assert 1 not in core and core + (1,) * w == parts
+                assert all(0 <= run <= w for run in runs), parts
+                if not core:
+                    assert flags == (0, 0, 0, 0)
+                for j in range(0 if core else 1, w + 1):
+                    member = core + (1,) * j
+                    assert (crank_unordered(member) >= 0) == (crank(member) >= 0)
+                    truth = (crank(member) >= 0, spec11.counts(member),
+                             rank(member) >= -1, spec33.counts(member))
+                    got = tuple(map(bool, flags)) if j == 0 else tuple(j <= run for run in runs)
+                    assert got == truth, (parts, j)
 
     def test_ceiling_enforced(self):
         # a huge bound must fail at the ceiling, before any per-weight table
@@ -226,16 +256,35 @@ class TestCrankRank:
             with pytest.raises(EnumerationLimitError):
                 verify_crank_rank(bound)
 
+    @staticmethod
+    def plant(monkeypatch, stat, fails):
+        # statistic `stat` (0 crank >= 0, 2 rank >= -1) made false on each
+        # family member core + (1,)*j with fails(core, j), through the one
+        # helper the tally reads: a core's flag is cleared, and a run 1..J is
+        # cut before its first failing member
+        real = verify._family_stats
+
+        def wrong(parts):
+            w, flags, runs = real(parts)
+            core = parts[: len(parts) - w]
+            flags, runs = list(flags), list(runs)
+            if core and fails(core, 0):
+                flags[stat] = 0
+            runs[stat] = next((j - 1 for j in range(1, runs[stat] + 1) if fails(core, j)), runs[stat])
+            return w, tuple(flags), tuple(runs)
+
+        monkeypatch.setattr(verify, "_family_stats", wrong)
+
     def test_crank_side_failure_is_reported(self, monkeypatch):
         # no crank >= 0 anywhere, while p_{1,1}(1) = 0 and p_{1,1}(2) = 1
-        monkeypatch.setattr(verify, "crank", lambda parts: -1)
+        self.plant(monkeypatch, 0, lambda core, j: True)
         report = verify_crank_rank(10)
         assert (report.passed, report.counterexample) == (False, 2)
         assert report.detail == "crank side mismatch"
 
     def test_rank_side_failure_is_reported(self, monkeypatch):
         # no rank >= -1 anywhere, while p_{3,3}(1) = 1
-        monkeypatch.setattr(verify, "rank", lambda parts: -2)
+        self.plant(monkeypatch, 2, lambda core, j: True)
         report = verify_crank_rank(10)
         assert (report.passed, report.counterexample) == (False, 1)
         assert report.detail == "rank side mismatch"
@@ -243,9 +292,10 @@ class TestCrankRank:
     @pytest.mark.parametrize("planted", [(2, 2), (3, 1)])
     def test_one_failing_partition_is_reported(self, monkeypatch, planted):
         # (2, 2) is a family's core (no ones added), (3, 1) the first member
-        # of the family of (3,); either one alone must unbalance n = 4
-        real = verify.crank
-        monkeypatch.setattr(verify, "crank", lambda parts: -1 if parts == planted else real(parts))
+        # of the family of (3,); either one alone must unbalance n = 4.  The
+        # crank run of (3,) is (3, 1) alone, so cutting it fails no other
+        assert verify._family_stats((3, 1))[2][0] == 1
+        self.plant(monkeypatch, 0, lambda core, j: core + (1,) * j == planted)
         report = verify_crank_rank(10)
         assert (report.passed, report.counterexample) == (False, 4)
         assert report.detail == "crank side mismatch"
@@ -588,6 +638,17 @@ class TestScanner:
             claims = scan_congruences(t, 2 * t, 10**5)
             verified = tuple(c.residue for c in claims if c.status == "verified-to-bound")
             assert verified == residues
+
+    def test_verified_classes_of_every_odd_t_up_to_63(self):
+        # evidence up to the bound, not a theorem: at 10^5 the mod-2t scan of
+        # every odd t <= 63 leaves all-even classes only at the seven proved
+        # t, at t = 1 (the odd progression) and at t = 25, which no theorem
+        # covers and THEOREM6_RESIDUES leaves out
+        expected = {**THEOREM6_RESIDUES, 1: (1,), 25: (9, 19, 29, 39, 49)}
+        for t in range(1, 64, 2):
+            claims = scan_congruences(t, 2 * t, 10**5)
+            verified = tuple(c.residue for c in claims if c.status == "verified-to-bound")
+            assert verified == expected.get(t, ()), t
 
     @given(st.sampled_from(range(1, 24, 2)), st.integers(1, 40), st.integers(2, 600))
     def test_matches_direct_walk(self, t, modulus, bound):
