@@ -236,8 +236,8 @@ def euler_product(step: int, power: int, order: int, domain: Domain = INTEGERS) 
     nonzero terms; over GF(2) their bits are set directly.  A power is
     formed by repeated multiplication with that sparse base, and power = 0
     gives the identity series.  1/(q;q) is series_recip or partition_parity.
-    The literal product of binomial factors is kept out of this path; it
-    serves as the independent oracle of verify.verify_series_identities.
+    The product of binomial factors is kept out of this path; the identity
+    suite rebuilds it independently from its logarithmic derivative.
     """
     if step < 1:
         raise ValueError("step must be a positive integer")
@@ -280,8 +280,8 @@ def euler_pentagonal(order: int) -> TruncatedSeries:
 
     Sum over all integers n of (-1)^n q^(n(3n-1)/2); the exponents with
     n = k and n = -k are k(3k-1)/2 and k(3k+1)/2, both with sign (-1)^k.
-    euler_product is built from this expansion; its agreement with the
-    literal product of binomial factors is checked by the identity suite.
+    euler_product is built from this expansion; the identity suite checks it
+    against the product of binomial factors, rebuilt from its log-derivative.
     """
     return _from_terms(_pentagonal_terms(), order)
 
@@ -304,7 +304,7 @@ def theta_psi(order: int) -> TruncatedSeries:
     """Ramanujan's theta series psi(q) = sum of q^(n(n+1)/2).
 
     The indicator series of the triangular numbers; as a product it equals
-    (q^2;q^2)_inf^2 / (q;q)_inf, which is checked by the identity suite.
+    (q^2;q^2)_inf^2 / (q;q)_inf, rebuilt and checked by the identity suite.
     """
     return _from_terms(((n * (n + 1) // 2, 1) for n in count()), order)
 

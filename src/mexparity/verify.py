@@ -24,9 +24,9 @@ trivial reasons and the parity statements all start at n = 1.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import accumulate, islice, zip_longest
+from itertools import accumulate, zip_longest
 from math import isqrt
-from operator import sub
+from operator import mul
 from typing import Iterable, NamedTuple
 
 from .errors import LimitError, OrderLimitError
@@ -34,11 +34,9 @@ from .genfun import acore_mod2_series, dissection_identity_check, ptt_mod2_serie
 from .partitions import ENUMERATION_CEILING, enumerate_partitions
 from .series import (
     MOD2_ORDER_CEILING,
-    TruncatedSeries,
     euler_pentagonal,
     jacobi_cube,
     nonzero_indices,
-    series_mul,
     theta_psi,
 )
 
@@ -79,8 +77,7 @@ THEOREM6_RESIDUES: dict[int, tuple[int, ...]] = {
 
 DEFAULT_QNR_PRIMES = (5, 7, 11, 13, 17)
 # largest order verify_series_identities accepts, and run_suite's clamp for
-# it: the literal Euler product costs about order^2/4 coefficient updates,
-# and 10^4 is the order the acceptance suite checks them at
+# it: kept only because its range text, "0 <= n < 10000", is in the digests
 IDENTITY_CEILING = 10**4
 # largest modulus scan_congruences accepts: it builds one claim per class,
 # about 0.9 KiB each, so 10^6 classes take about 0.9 GiB
@@ -435,60 +432,63 @@ def verify_tcore_congruences(bound: int) -> VerificationReport:
     return _residue_families("tcore-progressions", acore_mod2_series, "t-core ", bound)
 
 
-def _series_match_report(theorem_id: str, lhs: TruncatedSeries, rhs: TruncatedSeries, bound: int) -> VerificationReport:
-    rng = f"0 <= n < {bound}"
-    if lhs == rhs:
+def _divisor_sums(order: int) -> list[int]:
+    # sigma(n) at index n < order, the series S = -q (q;q)'/(q;q): factor
+    # 1 - q^m adds m at every multiple of m (about order ln order updates)
+    s = [0] * order
+    for m in range(1, order):
+        s[m::m] = [v + m for v in s[m::m]]
+    return s
+
+
+def _log_product(s: list[int], a: int, b: int) -> list[int]:
+    # P = (q;q)^a (q^2;q^2)^b to the order of the divisor sums s, from P_0 = 1
+    # and L = q P'/P = -a S(q) - 2b S(q^2): n P_n = conv_n for conv = L * P,
+    # which reads only P below n as L_0 = 0.  One slice pass per nonzero P_n,
+    # about order^1.5 updates for a lacunary P; the division is exact.
+    log_derivative = [-a * v for v in s]
+    log_derivative[::2] = [v - 2 * b * w for v, w in zip(log_derivative[::2], s)]
+    p, conv = [0] * len(s), [0] * len(s)
+    for n in range(len(s)):
+        p[n] = c = conv[n] // n if n else 1
+        if c:
+            conv[n:] = [v + c * w for v, w in zip(conv[n:], log_derivative)]
+    return p
+
+
+def _identity_report(theorem_id: str, order: int, closed, product, cofactor=(1,)) -> VerificationReport:
+    # closed * cofactor against product * cofactor, for cofactor_0 = 1: they
+    # first differ where closed and product do, at q^n by closed_n - product_n
+    rng = f"0 <= n < {order}"
+    n = next((i for i, (c, p) in enumerate(zip(closed, product)) if c != p), None)
+    if n is None:
         return _report(theorem_id, rng, None)
-    a, b = lhs.coeffs, rhs.coeffs
-    n = next(i for i in range(min(len(a), len(b))) if a[i] != b[i])
-    return _report(theorem_id, rng, n, f"coefficients differ at q^{n}: {a[n]} vs {b[n]}")
-
-
-def _literal_euler_product(order: int) -> TruncatedSeries:
-    # the literal product of the (1 - q^m), largest m first, one slice
-    # assignment per factor.  Once the factors above m are in, the product
-    # is 1 - q^(m+1) - ... - q^(2m+2) + (terms of degree >= 2m+3), so
-    # factor m only sets q^m to -1 and updates the window [2m+1, order):
-    # about order^2/4 updates in all.  The slice consumes the map before
-    # writing.  Independent of euler_product.
-    c = [1] + [0] * (order - 1)
-    for m in range(order - 1, 0, -1):
-        lo = 2 * m + 1
-        if lo < order:
-            c[lo:] = map(sub, islice(c, lo, order), islice(c, m + 1, order - m))
-        c[m] -= 1
-    return TruncatedSeries(c)
-
-
-def _at_q_squared(s: TruncatedSeries) -> TruncatedSeries:
-    # s(q^2) through the order of s: coefficient 2j is s_j, j < ceil(order/2)
-    c = [0] * s.order
-    c[::2] = s.coeffs[: (s.order + 1) // 2]
-    return TruncatedSeries(c)
+    lhs = sum(map(mul, closed[n::-1], cofactor))
+    return _report(theorem_id, rng, n, f"coefficients differ at q^{n}: {lhs} vs {lhs - closed[n] + product[n]}")
 
 
 def verify_series_identities(order: int) -> list[VerificationReport]:
-    """Classical expansions vs the literal products, over the integers.
+    """Classical expansions vs the Euler products, over the integers.
 
     The pentagonal-number sum against (q;q), the signed (2n+1)-weighted
     triangular sum against (q;q)^3, and the triangular indicator psi via
     psi * (q;q) against (q^2;q^2)^2; each coefficientwise through `order`.
-    (q;q) is multiplied out once, factor by factor and largest factor
-    first (about order^2/4 coefficient updates), independently of
-    series.euler_product, and (q^2;q^2) is that same product at q -> q^2.
-    An order above IDENTITY_CEILING raises OrderLimitError before anything
-    is built.
+    Each product is rebuilt from its logarithmic derivative, summed factor
+    by factor from the (1 - q^m) independently of every closed form, in
+    about order^1.5 coefficient updates.
+    An order below 1 raises ValueError and one above IDENTITY_CEILING
+    OrderLimitError, before anything is built.
     """
+    if order < 1:
+        raise ValueError("order must be >= 1")
     if order > IDENTITY_CEILING:
         raise OrderLimitError(f"identity order {order} exceeds the ceiling {IDENTITY_CEILING}")
-    euler = _literal_euler_product(order)
-    euler2 = _at_q_squared(euler)
+    s = _divisor_sums(order)
+    euler, cube, psi = (_log_product(s, a, b) for a, b in ((1, 0), (3, 0), (-1, 2)))
     return [
-        _series_match_report("euler-pentagonal-identity", euler_pentagonal(order), euler, order),
-        _series_match_report("jacobi-cube-identity", jacobi_cube(order),
-                             series_mul(euler, series_mul(euler, euler)), order),
-        _series_match_report("theta-psi-identity", series_mul(theta_psi(order), euler),
-                             series_mul(euler2, euler2), order),
+        _identity_report("euler-pentagonal-identity", order, euler_pentagonal(order).coeffs, euler),
+        _identity_report("jacobi-cube-identity", order, jacobi_cube(order).coeffs, cube),
+        _identity_report("theta-psi-identity", order, theta_psi(order).coeffs, psi, euler),
     ]
 
 

@@ -4,7 +4,8 @@ These deliberately avoid the library's own algorithms: partition counts
 come from the classic coin-style dynamic program, products from naive
 schoolbook convolution, and the pentagonal predicate from an explicit
 search over k.  The Euler product is multiplied out one binomial
-factor at a time, independently of the pentagonal form the library uses,
+factor at a time, independently of the pentagonal form the library uses
+and of the logarithmic derivative the identity suite rebuilds it from,
 and 1/(q;q) mod 2 is a Newton reciprocal, where the library uses the
 theta recursion R(q) = psi(q) * R(q^4).
 Partitions come from a recursive generator, and the crank is computed
@@ -14,6 +15,9 @@ statistics, with none of the ones-family shortcuts of the verifier.
 """
 
 from __future__ import annotations
+
+from itertools import islice
+from operator import sub
 
 from mexparity.partitions import MexSpec, crank, enumerate_partitions, rank
 
@@ -50,6 +54,21 @@ def euler_product_by_factors(step: int, order: int) -> list[int]:
     for m in range(step, order, step):
         out = schoolbook_mul([1] + [0] * (m - 1) + [-1], out, order)
     return out
+
+
+def literal_euler_product(order: int) -> list[int]:
+    """(q;q)_inf truncated at `order`, largest factor first, one slice
+    assignment per factor.  Once the factors above m are in, the product is
+    1 - q^(m+1) - ... - q^(2m+2) + (terms of degree >= 2m+3), so factor m
+    only sets q^m to -1 and updates the window [2m+1, order): about
+    order^2/4 updates in all.  The slice consumes the map before writing."""
+    c = [1] + [0] * (order - 1)
+    for m in range(order - 1, 0, -1):
+        lo = 2 * m + 1
+        if lo < order:
+            c[lo:] = map(sub, islice(c, lo, order), islice(c, m + 1, order - m))
+        c[m] -= 1
+    return c
 
 
 def product_form(step: int, power: int, order: int) -> list[int]:

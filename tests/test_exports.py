@@ -2,6 +2,8 @@ import ast
 import types
 from pathlib import Path
 
+import pytest
+
 import mexparity
 from mexparity import errors, genfun, partitions, series, verify
 
@@ -61,10 +63,22 @@ def test_no_module_imports_a_private_name_of_another():
     assert offences == []
 
 
-def test_crank_rank_oracle_reads_no_series_code():
-    # the brute-force oracle stays independent of the series pipeline: the
-    # tally and every verify function it reaches name nothing that verify
-    # imports from series or genfun
+@pytest.mark.parametrize(
+    "root, helpers",
+    [
+        # the brute-force crank/rank oracle
+        ("_crank_rank_tallies", {"_family_stats"}),
+        # the identity suite's divisor sums, products and comparison, which
+        # take plain coefficient lists and tuples
+        ("_divisor_sums", set()),
+        ("_log_product", set()),
+        ("_identity_report", {"_report"}),
+    ],
+)
+def test_oracles_read_no_series_code(root, helpers):
+    # each oracle stays independent of the series pipeline: it and every
+    # verify function it reaches name nothing that verify imports from
+    # series or genfun
     tree = ast.parse(Path(verify.__file__).read_text(), verify.__file__)
     series_names = {
         a.asname or a.name
@@ -73,7 +87,7 @@ def test_crank_rank_oracle_reads_no_series_code():
         for a in node.names
     }
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    reached, todo, names = set(), ["_crank_rank_tallies"], set()
+    reached, todo, names = set(), [root], set()
     while todo:
         name = todo.pop()
         if name in reached:
@@ -82,6 +96,6 @@ def test_crank_rank_oracle_reads_no_series_code():
         used = {node.id for node in ast.walk(functions[name]) if isinstance(node, ast.Name)}
         names |= used
         todo += sorted(used & functions.keys())
-    assert {"_crank_rank_tallies", "_family_stats"} <= reached
-    assert series_names >= {"ptt_mod2_series", "MOD2_ORDER_CEILING"}
+    assert reached == {root} | helpers
+    assert series_names >= {"ptt_mod2_series", "MOD2_ORDER_CEILING", "euler_pentagonal"}
     assert names & series_names == set()

@@ -23,8 +23,6 @@ from mexparity.series import (
     TruncatedSeries,
     euler_pentagonal,
     jacobi_cube,
-    series_mul,
-    series_recip,
     theta_psi,
 )
 from mexparity.verify import (
@@ -53,7 +51,10 @@ from oracles import (
     crank_rank_tallies_by_partition,
     crank_unordered,
     euler_product_by_factors,
+    literal_euler_product,
     pent_type_by_search,
+    product_form,
+    schoolbook_mul,
 )
 
 CHECKERS = {
@@ -483,14 +484,55 @@ class TestSweepContract:
         assert report.detail == "odd t-core count at index 13 = 14n + 13 (t=7)"
 
 
-class TestIdentitySuites:
-    def test_order_past_the_ceiling_raises_before_building(self, monkeypatch):
-        def no_build(order):
-            raise AssertionError("the literal product was built past the ceiling")
+def rebuilt_product(a, b, order):
+    """(q;q)^a (q^2;q^2)^b through q^(order-1), as the identity suite
+    rebuilds it from the divisor sums."""
+    return verify._log_product(verify._divisor_sums(order), a, b)
 
-        monkeypatch.setattr(verify, "_literal_euler_product", no_build)
+
+@lru_cache(maxsize=None)
+def literal_products():
+    """(q;q), (q;q)^3 and (q^2;q^2)^2 at order 300, from the largest-factor-
+    first literal product; prefixes are the products at any lower order."""
+    euler = literal_euler_product(300)
+    euler2 = [0] * 300
+    euler2[::2] = euler[:150]
+    return euler, schoolbook_mul(euler, schoolbook_mul(euler, euler, 300), 300), schoolbook_mul(euler2, euler2, 300)
+
+
+IDENTITY_FORMS = {
+    euler_pentagonal: "euler-pentagonal-identity",
+    jacobi_cube: "jacobi-cube-identity",
+    theta_psi: "theta-psi-identity",
+}
+
+# (order, index, delta): one coefficient below the order bumped by delta,
+# with index 0 and order - 1 drawn as well as any index between
+BUMPS = st.integers(1, 300).flatmap(
+    lambda order: st.tuples(
+        st.just(order),
+        st.sampled_from([0, order - 1]) | st.integers(0, order - 1),
+        st.sampled_from([-2, -1, 1, 2]),
+    )
+)
+
+
+class TestIdentitySuites:
+    @pytest.fixture
+    def no_build(self, monkeypatch):
+        def fail(order):
+            raise AssertionError("the divisor sums were built for a rejected order")
+
+        monkeypatch.setattr(verify, "_divisor_sums", fail)
+
+    def test_order_past_the_ceiling_raises_before_building(self, no_build):
         with pytest.raises(OrderLimitError, match=f"ceiling {verify.IDENTITY_CEILING}"):
             verify_series_identities(verify.IDENTITY_CEILING + 1)
+
+    @pytest.mark.parametrize("order", [0, -1])
+    def test_order_below_one_raises_before_building(self, no_build, order):
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            verify_series_identities(order)
 
     def test_series_identities(self):
         reports = verify_series_identities(500)
@@ -502,36 +544,72 @@ class TestIdentitySuites:
         assert all(r.passed for r in reports)
 
     @given(st.integers(1, 300))
-    def test_literal_product_matches_factor_oracle(self, order):
-        got = verify._literal_euler_product(order).coeffs
-        assert got == factor_oracle(1)[:order]
+    def test_rebuilt_product_matches_factor_oracle(self, order):
+        assert tuple(rebuilt_product(1, 0, order)) == factor_oracle(1)[:order]
+        assert tuple(literal_euler_product(order)) == factor_oracle(1)[:order]
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 1000])
-    def test_literal_product_at_window_edges_and_above_the_drawn_range(self, order):
-        # factor m updates q^m and [2m + 1, order): 9 to 12 put the lowest
-        # window edges at and just past the top of the series
-        got = verify._literal_euler_product(order).coeffs
-        assert got == tuple(euler_product_by_factors(1, order))
+    def test_products_at_window_edges_and_above_the_drawn_range(self, order):
+        # the literal product's factor m updates q^m and [2m + 1, order): 9 to
+        # 12 put the lowest window edges at and just past the top of the series
+        want = euler_product_by_factors(1, order)
+        assert literal_euler_product(order) == want
+        assert rebuilt_product(1, 0, order) == want
+        assert verify._divisor_sums(order)[1:] == [
+            sum(d for d in range(1, n + 1) if n % d == 0) for n in range(1, order)
+        ]
 
-    def test_literal_product_uses_no_closed_form(self, monkeypatch):
+    def test_rebuilt_product_uses_no_closed_form(self, monkeypatch):
         def closed_form(*args):
-            raise AssertionError("the literal product reached a closed form")
+            raise AssertionError("the rebuilt product reached a closed form")
 
-        for name in ("euler_product", "euler_pentagonal", "_from_terms"):
+        for name in ("euler_product", "euler_pentagonal", "jacobi_cube", "theta_psi", "_from_terms"):
             monkeypatch.setattr(series, name, closed_form)
-        monkeypatch.setattr(verify, "euler_pentagonal", closed_form)
-        assert verify._literal_euler_product(200).coeffs == factor_oracle(1)[:200]
+        for name in ("euler_pentagonal", "jacobi_cube", "theta_psi"):
+            monkeypatch.setattr(verify, name, closed_form)
+        assert tuple(rebuilt_product(1, 0, 200)) == factor_oracle(1)[:200]
+        assert tuple(rebuilt_product(0, 1, 200)) == factor_oracle(2)[:200]
 
     @given(st.integers(1, 300))
     def test_dilated_product_matches_step2_oracle(self, order):
-        got = verify._at_q_squared(verify._literal_euler_product(order)).coeffs
-        assert got == factor_oracle(2)[:order]
+        assert tuple(rebuilt_product(0, 1, order)) == factor_oracle(2)[:order]
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 8, 33, 64])
-    def test_dilated_product_at_small_orders(self, order):
-        got = verify._at_q_squared(verify._literal_euler_product(order)).coeffs
-        assert got == tuple(euler_product_by_factors(2, order))
+    def test_dilated_products_at_small_orders(self, order):
+        euler2 = euler_product_by_factors(2, order)
+        assert rebuilt_product(0, 1, order) == euler2
+        assert rebuilt_product(0, 2, order) == schoolbook_mul(euler2, euler2, order)
+        # psi's product (q^2;q^2)^2 / (q;q)
+        assert rebuilt_product(-1, 2, order) == product_form(2, 2, order)
         assert factor_oracle(1)[:order] == tuple(euler_product_by_factors(1, order))
+
+    @given(st.sampled_from(list(IDENTITY_FORMS)), BUMPS)
+    def test_reports_match_the_literal_product(self, closed_form, bump):
+        # a bumped closed form fails where, and with the values that, the
+        # literal product of (q;q) shows: psi as psi * (q;q) vs (q^2;q^2)^2
+        order, index, delta = bump
+
+        def bumped(n):
+            c = list(closed_form(n).coeffs)
+            c[index] += delta
+            return TruncatedSeries(c)
+
+        euler, cube, euler2_squared = literal_products()
+        closed = bumped(order).coeffs
+        lhs, rhs = {
+            euler_pentagonal: (closed, euler),
+            jacobi_cube: (closed, cube),
+            theta_psi: (schoolbook_mul(closed, euler, order), euler2_squared),
+        }[closed_form]
+        n = next(i for i in range(order) if lhs[i] != rhs[i])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(verify, closed_form.__name__, bumped)
+            reports = {r.theorem_id: r for r in verify_series_identities(order)}
+        failed = reports.pop(IDENTITY_FORMS[closed_form])
+        assert (failed.passed, failed.range) == (False, f"0 <= n < {order}")
+        assert failed.counterexample == n
+        assert failed.detail == f"coefficients differ at q^{n}: {lhs[n]} vs {rhs[n]}"
+        assert all(r.passed for r in reports.values())
 
     @pytest.mark.parametrize(
         "closed_form, theorem_id, index, want",
@@ -556,14 +634,15 @@ class TestIdentitySuites:
         assert failed.detail == f"coefficients differ at q^{index}: {want + 1} vs {want}"
         assert all(r.passed for r in reports.values())
 
-    def test_literal_product_missing_a_factor_fails(self, monkeypatch):
-        literal = verify._literal_euler_product
+    def test_product_missing_a_factor_fails(self, monkeypatch):
+        divisor_sums = verify._divisor_sums
 
         def without_factor_7(order):
-            binomial = TruncatedSeries([1] + [0] * 6 + [-1] + [0] * (order - 8))
-            return series_mul(literal(order), series_recip(binomial))
+            s = divisor_sums(order)
+            s[7::7] = [v - 7 for v in s[7::7]]
+            return s
 
-        monkeypatch.setattr(verify, "_literal_euler_product", without_factor_7)
+        monkeypatch.setattr(verify, "_divisor_sums", without_factor_7)
         report = verify_series_identities(40)[0]
         assert report.theorem_id == "euler-pentagonal-identity"
         assert not report.passed
@@ -703,7 +782,7 @@ class TestMod2OrderCeiling:
             "ptt_mod2_series",
             "acore_mod2_series",
             "enumerate_partitions",
-            "_literal_euler_product",
+            "_divisor_sums",
             "dissection_identity_check",
         ):
             monkeypatch.setattr(verify, name, fail)
