@@ -10,9 +10,10 @@ byte-identical output.  Options are parsed with the standard library's
 argparse; the package has no runtime dependency.
 
 Exit codes: 0 success (all checks passed), 1 a verification found a
-counterexample or stdout was closed before every record was written,
-2 usage error, including a limit or a scan modulus past one of the
-ceilings that keep a request within time and memory.
+counterexample or the records could not all be written (stdout closed
+early, silently, or a failed write such as a full disk, with one line on
+stderr), 2 usage error, including a limit or a scan modulus past one of
+the ceilings that keep a request within time and memory.
 """
 
 from __future__ import annotations
@@ -53,10 +54,10 @@ def _cell(value, fmt: str) -> str:
 def _render(kind: str, records: list[dict], fmt: str) -> str:
     columns = _COLUMNS[kind]
     if fmt == "jsonl":
-        # one %-template per kind; no records still render as one newline
+        # one %-template per kind
         line = f'{{"kind":"{kind}"' + "".join(f',"{c}":%s' for c in columns) + "}\n"
         rows = ([_cell(rec[c], fmt) for c in columns] for rec in records)
-        return "".join(line % tuple(row) for row in rows) or "\n"
+        return "".join(line % tuple(row) for row in rows)
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -178,9 +179,11 @@ def main(argv: list[str] | None = None) -> None:
         parser.error(str(exc))
     try:
         _emit(chunks, out)
-    except BrokenPipeError:
-        # the reader is gone; point stdout at devnull so that the flush at
-        # exit cannot fail a second time
+    except OSError as exc:
+        # a closed pipe means the reader is gone and needs no message; either
+        # way stdout points at devnull, so the flush at exit cannot fail again
+        if not isinstance(exc, BrokenPipeError):
+            print(f"mexparity: cannot write the records: {exc.strerror}", file=sys.stderr)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.exit(1)
     if failed:

@@ -24,7 +24,6 @@ from .errors import EnumerationLimitError
 
 __all__ = [
     "ENUMERATION_CEILING",
-    "EnumerationLimitError",
     "MexSpec",
     "enumerate_partitions",
     "mex",

@@ -26,7 +26,6 @@ from __future__ import annotations
 from collections import Counter
 from itertools import accumulate, zip_longest
 from math import isqrt
-from operator import mul
 from typing import Iterable, NamedTuple
 
 from .errors import LimitError, OrderLimitError
@@ -246,12 +245,6 @@ def _class_witness(digits: str, modulus: int, r: int) -> int | None:
     return n if n >= 0 else None
 
 
-def _first_odd(digits: str, modulus: int, residues: Iterable[int]) -> int | None:
-    # smallest index >= 1 with an odd coefficient in any listed class
-    witnesses = ((_class_witness(digits, modulus, r), r) for r in residues)
-    return min((modulus * n + r for n, r in witnesses if n is not None), default=None)
-
-
 def _report(theorem_id: str, rng: str, witness: int | None, detail: str = "") -> VerificationReport:
     if witness is None:
         return VerificationReport(theorem_id, rng, True)
@@ -260,9 +253,10 @@ def _report(theorem_id: str, rng: str, witness: int | None, detail: str = "") ->
 
 def _sweep(theorem_id: str, rng: str, families: Iterable, what: str = "") -> VerificationReport:
     # families yields (digit string, modulus, residues, note) in check order;
-    # a failure names the smallest odd index of the first family that has one
+    # a failure names the smallest odd index >= 1 of the first family that has one
     for digits, modulus, residues, note in families:
-        n = _first_odd(digits, modulus, residues)
+        witnesses = ((_class_witness(digits, modulus, r), r) for r in residues)
+        n = min((modulus * w + r for w, r in witnesses if w is not None), default=None)
         if n is not None:
             where = f"{modulus}n + {n % modulus}{note}"
             return _report(theorem_id, rng, n, f"odd {what}count at index {n} = {where}")
@@ -372,8 +366,8 @@ def verify_crank_rank(bound: int) -> VerificationReport:
 
 def verify_odd_progression(bound: int) -> VerificationReport:
     """Every odd-index coefficient of the t = 1 parity series is even."""
-    n = _first_odd(ptt_mod2_series(1, _checked_bound(bound)).digits, 2, (1,))
-    return _report("p11-odd-progression", f"odd n < {bound}", n, "odd count at odd index")
+    digits = ptt_mod2_series(1, _checked_bound(bound)).digits
+    return _sweep("p11-odd-progression", f"odd n < {bound}", [(digits, 2, (1,), "")])
 
 
 def verify_qnr_families(which: str, primes: tuple[int, ...], bound: int) -> VerificationReport:
@@ -456,26 +450,24 @@ def _log_product(s: list[int], a: int, b: int) -> list[int]:
     return p
 
 
-def _identity_report(theorem_id: str, order: int, closed, product, cofactor=(1,)) -> VerificationReport:
-    # closed * cofactor against product * cofactor, for cofactor_0 = 1: they
-    # first differ where closed and product do, at q^n by closed_n - product_n
+def _identity_report(theorem_id: str, order: int, closed, product) -> VerificationReport:
     rng = f"0 <= n < {order}"
     n = next((i for i, (c, p) in enumerate(zip(closed, product)) if c != p), None)
     if n is None:
         return _report(theorem_id, rng, None)
-    lhs = sum(map(mul, closed[n::-1], cofactor))
-    return _report(theorem_id, rng, n, f"coefficients differ at q^{n}: {lhs} vs {lhs - closed[n] + product[n]}")
+    return _report(theorem_id, rng, n, f"coefficients differ at q^{n}: {closed[n]} vs {product[n]}")
 
 
 def verify_series_identities(order: int) -> list[VerificationReport]:
     """Classical expansions vs the Euler products, over the integers.
 
     The pentagonal-number sum against (q;q), the signed (2n+1)-weighted
-    triangular sum against (q;q)^3, and the triangular indicator psi via
-    psi * (q;q) against (q^2;q^2)^2; each coefficientwise through `order`.
-    Each product is rebuilt from its logarithmic derivative, summed factor
-    by factor from the (1 - q^m) independently of every closed form, in
-    about order^1.5 coefficient updates.
+    triangular sum against (q;q)^3, and the triangular indicator psi
+    against (q^2;q^2)^2 / (q;q); each coefficientwise through `order`, and
+    a failure's detail gives the closed form's coefficient, then the
+    product's.  Each product is rebuilt from its logarithmic derivative,
+    summed factor by factor from the (1 - q^m) independently of every
+    closed form, in about order^1.5 coefficient updates.
     An order below 1 raises ValueError and one above IDENTITY_CEILING
     OrderLimitError, before anything is built.
     """
@@ -488,7 +480,7 @@ def verify_series_identities(order: int) -> list[VerificationReport]:
     return [
         _identity_report("euler-pentagonal-identity", order, euler_pentagonal(order).coeffs, euler),
         _identity_report("jacobi-cube-identity", order, jacobi_cube(order).coeffs, cube),
-        _identity_report("theta-psi-identity", order, theta_psi(order).coeffs, psi, euler),
+        _identity_report("theta-psi-identity", order, theta_psi(order).coeffs, psi),
     ]
 
 

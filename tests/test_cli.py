@@ -112,6 +112,23 @@ class TestCompute:
         assert proc.returncode == 1
         assert b"Traceback" not in stderr
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("to_out", [False, True], ids=["stdout", "out"])
+    @pytest.mark.parametrize("args", [
+        ("verify", "--suite", "p11", "--limit", "100"),
+        ("compute", "--t", "5", "--limit", "100000"),
+    ])
+    def test_failed_write_exits_one_with_one_line(self, args, to_out):
+        # a full disk: stdout or --out is /dev/full, where every write fails
+        with open("/dev/full", "w") as full:
+            child = subprocess.run(
+                [sys.executable, "-m", "mexparity.cli", *args, *(["--out", "/dev/full"] if to_out else [])],
+                stdout=subprocess.DEVNULL if to_out else full, stderr=subprocess.PIPE, env=child_env(),
+                timeout=120)
+        assert child.returncode == 1
+        assert child.stderr.decode().splitlines() == [
+            "mexparity: cannot write the records: No space left on device"]
+
 
 class TestVerifyCommand:
     def test_unknown_suite(self):

@@ -5,10 +5,9 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from mexparity.errors import LimitError
+from mexparity.errors import EnumerationLimitError, LimitError
 from mexparity.partitions import (
     ENUMERATION_CEILING,
-    EnumerationLimitError,
     MexSpec,
     a_t_direct,
     conjugate,

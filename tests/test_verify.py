@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mexparity import genfun, series, verify
-from mexparity.errors import LimitError, OrderLimitError
-from mexparity.genfun import MOD2_ORDER_CEILING, ptt_mod2_series
+from mexparity.errors import EnumerationLimitError, LimitError, OrderLimitError
+from mexparity.genfun import MOD2_ORDER_CEILING, acore_mod2_series, ptt_mod2_series
 from mexparity.partitions import (
     ENUMERATION_CEILING,
-    EnumerationLimitError,
     MexSpec,
     crank,
     enumerate_partitions,
@@ -52,6 +51,7 @@ from oracles import (
     crank_unordered,
     euler_product_by_factors,
     literal_euler_product,
+    partition_counts,
     pent_type_by_search,
     product_form,
     schoolbook_mul,
@@ -313,6 +313,17 @@ class TestProgressionFamilies:
     def test_power4_families(self):
         assert verify_power4_families(3, 4000).passed
 
+    def test_families_beyond_the_defaults_hold(self):
+        # evidence at 10^5 for the larger families a larger bound would add:
+        # m = 7 is the largest m with an index below 10^5, (7 * 4^7 - 1) / 3 =
+        # 38229, and every prime 5 <= p < 200 for both QNR corollaries
+        assert (7 * 4**7 - 1) // 3 < 10**5 < (7 * 4**8 - 1) // 3
+        assert verify_power4_families(7, 10**5).passed
+        primes = tuple(p for p in range(5, 200) if all(p % f for f in range(2, isqrt(p) + 1)))
+        assert len(primes) == 44
+        for which in ("p11", "p33"):
+            assert verify_qnr_families(which, primes, 10**5).passed
+
     def test_power4_offsets_are_integral(self):
         for m in range(8):
             assert (7 * 4**m - 1) % 3 == 0
@@ -395,7 +406,7 @@ class TestSweepContract:
     def test_odd_progression_reports_smallest_odd_index(self, monkeypatch):
         monkeypatch.setattr(verify, "ptt_mod2_series", planted({1: {0, 2, 9, 5}}))
         report = verify_odd_progression(100)
-        assert (report.counterexample, report.detail) == (5, "odd count at odd index")
+        assert (report.counterexample, report.detail) == (5, "odd count at index 5 = 2n + 1")
 
     def test_qnr_reports_smallest_index_of_first_failing_prime(self, monkeypatch):
         # p11 non-residue classes: 1, 3 mod 5 and 1, 5, 6 mod 7; 5 is smaller
@@ -459,15 +470,17 @@ class TestSweepContract:
 
     @given(st.data(), st.integers(1, 600))
     def test_first_odd_is_the_smallest_odd_index_in_the_classes(self, data, order):
-        # the oracle reads coefficient by coefficient; the modulus is drawn
-        # from 1..40 or above the order, where no class repeats
+        # _sweep over one family against an oracle that reads coefficient by
+        # coefficient; the modulus is drawn from 1..40 or above the order,
+        # where no class repeats
         s = TruncatedSeries._make(data.draw(st.integers(0, 2**order - 1)), order, MOD2)
         modulus = data.draw(st.one_of(st.integers(1, 40), st.integers(order + 1, 2 * order + 1)))
         residues = data.draw(st.sets(st.integers(0, modulus - 1), min_size=1))
         want = next(
             (n for n in range(1, order) if n % modulus in residues and s.coeff(n) == 1), None
         )
-        assert verify._first_odd(s.digits, modulus, sorted(residues)) == want
+        report = verify._sweep("family", "indices < order", [(s.digits, modulus, sorted(residues), "")])
+        assert report.counterexample == want
 
     def test_dissection_with_no_t_is_rejected(self, monkeypatch):
         def no_check(*args):
@@ -492,12 +505,18 @@ def rebuilt_product(a, b, order):
 
 @lru_cache(maxsize=None)
 def literal_products():
-    """(q;q), (q;q)^3 and (q^2;q^2)^2 at order 300, from the largest-factor-
-    first literal product; prefixes are the products at any lower order."""
+    """(q;q), (q;q)^3 and (q^2;q^2)^2 / (q;q) at order 300, from the
+    largest-factor-first literal product and the partition counts, the
+    coefficients of 1/(q;q); prefixes are the products at any lower order."""
     euler = literal_euler_product(300)
     euler2 = [0] * 300
     euler2[::2] = euler[:150]
-    return euler, schoolbook_mul(euler, schoolbook_mul(euler, euler, 300), 300), schoolbook_mul(euler2, euler2, 300)
+    euler2_squared = schoolbook_mul(euler2, euler2, 300)
+    return (
+        euler,
+        schoolbook_mul(euler, schoolbook_mul(euler, euler, 300), 300),
+        schoolbook_mul(euler2_squared, partition_counts(300), 300),
+    )
 
 
 IDENTITY_FORMS = {
@@ -585,8 +604,8 @@ class TestIdentitySuites:
 
     @given(st.sampled_from(list(IDENTITY_FORMS)), BUMPS)
     def test_reports_match_the_literal_product(self, closed_form, bump):
-        # a bumped closed form fails where, and with the values that, the
-        # literal product of (q;q) shows: psi as psi * (q;q) vs (q^2;q^2)^2
+        # a bumped closed form fails where, and with the values that, its
+        # literal product shows: psi against (q^2;q^2)^2 / (q;q)
         order, index, delta = bump
 
         def bumped(n):
@@ -594,21 +613,16 @@ class TestIdentitySuites:
             c[index] += delta
             return TruncatedSeries(c)
 
-        euler, cube, euler2_squared = literal_products()
         closed = bumped(order).coeffs
-        lhs, rhs = {
-            euler_pentagonal: (closed, euler),
-            jacobi_cube: (closed, cube),
-            theta_psi: (schoolbook_mul(closed, euler, order), euler2_squared),
-        }[closed_form]
-        n = next(i for i in range(order) if lhs[i] != rhs[i])
+        product = dict(zip(IDENTITY_FORMS, literal_products()))[closed_form]
+        n = next(i for i in range(order) if closed[i] != product[i])
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(verify, closed_form.__name__, bumped)
             reports = {r.theorem_id: r for r in verify_series_identities(order)}
         failed = reports.pop(IDENTITY_FORMS[closed_form])
         assert (failed.passed, failed.range) == (False, f"0 <= n < {order}")
         assert failed.counterexample == n
-        assert failed.detail == f"coefficients differ at q^{n}: {lhs[n]} vs {rhs[n]}"
+        assert failed.detail == f"coefficients differ at q^{n}: {closed[n]} vs {product[n]}"
         assert all(r.passed for r in reports.values())
 
     @pytest.mark.parametrize(
@@ -616,8 +630,8 @@ class TestIdentitySuites:
         [
             (euler_pentagonal, "euler-pentagonal-identity", 15, -1),
             (jacobi_cube, "jacobi-cube-identity", 15, -11),
-            # psi + q^16 raises psi*(q;q) at q^16 by the constant term 1
-            (theta_psi, "theta-psi-identity", 16, -2),
+            # psi + q^16 reads 1 against the product's 0: 16 is not triangular
+            (theta_psi, "theta-psi-identity", 16, 0),
         ],
     )
     def test_planted_error_is_reported(self, monkeypatch, closed_form, theorem_id, index, want):
@@ -722,12 +736,17 @@ class TestScanner:
         # evidence up to the bound, not a theorem: at 10^5 the mod-2t scan of
         # every odd t <= 63 leaves all-even classes only at the seven proved
         # t, at t = 1 (the odd progression) and at t = 25, which no theorem
-        # covers and THEOREM6_RESIDUES leaves out
+        # covers and THEOREM6_RESIDUES leaves out.  For t >= 3 the t-core
+        # series, built without the mex series, leaves the same classes:
+        # t = 25's included, independent evidence for them
         expected = {**THEOREM6_RESIDUES, 1: (1,), 25: (9, 19, 29, 39, 49)}
         for t in range(1, 64, 2):
             claims = scan_congruences(t, 2 * t, 10**5)
             verified = tuple(c.residue for c in claims if c.status == "verified-to-bound")
             assert verified == expected.get(t, ()), t
+            if t >= 3:
+                odd = {n % (2 * t) for n in series.nonzero_indices(acore_mod2_series(t, 10**5)) if n}
+                assert tuple(r for r in range(2 * t) if r not in odd) == expected.get(t, ()), t
 
     @given(st.sampled_from(range(1, 24, 2)), st.integers(1, 40), st.integers(2, 600))
     def test_matches_direct_walk(self, t, modulus, bound):
