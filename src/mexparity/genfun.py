@@ -18,9 +18,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import OrderLimitError
-from .series import (  # MOD2_ORDER_CEILING stays importable from here
+from .series import (
     MOD2,
-    MOD2_ORDER_CEILING,
     TruncatedSeries,
     alternating_triangular,
     euler_product,
@@ -78,8 +77,8 @@ def ptt_series(t: int, order: int) -> TruncatedSeries:
 def ptt_mod2_series(t: int, order: int) -> TruncatedSeries:
     """Parity of ptt_series: the same formula over GF(2), where the
     alternating triangular sum is psi(q^t).  Even t is rejected, and an
-    order above MOD2_ORDER_CEILING raises partition_parity's OrderLimitError
-    before anything is built."""
+    order above series.MOD2_ORDER_CEILING raises partition_parity's
+    OrderLimitError before anything is built."""
     _require_odd_t(t)
     return series_mul(partition_parity(order), alternating_triangular(t, order, MOD2))
 
@@ -108,7 +107,7 @@ def _times_euler_power_mod2(s: TruncatedSeries, step: int, power: int) -> Trunca
 def acore_mod2_series(t: int, order: int) -> TruncatedSeries:
     """Parity of the t-core counts over GF(2): 1/(q;q) times one factor
     (q^(t*2^i);q^(t*2^i)) per set bit i of t, which is (q^t;q^t)^t mod 2.
-    An order above MOD2_ORDER_CEILING raises partition_parity's
+    An order above series.MOD2_ORDER_CEILING raises partition_parity's
     OrderLimitError before anything is built."""
     if t < 2:
         raise ValueError("t must be at least 2")

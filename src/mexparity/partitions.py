@@ -193,10 +193,9 @@ def hook_lengths(parts: Sequence[int]) -> tuple[int, ...]:
     """Multiset of hook lengths of the Young diagram, sorted descending.
 
     The hook of cell (i, j) covers the cell itself, the arm to its right
-    and the leg below it: (parts[i] - j) + (conj[j] - i) - 1.
+    and the leg below it: (parts[i] - j) + (conj[j] - i) - 1.  The empty
+    diagram has no cells, so it has no hooks.
     """
-    if not parts:
-        raise ValueError("hook lengths of the empty partition are undefined")
     conj = conjugate(parts)
     hooks = [
         (row - j) + (conj[j] - i) - 1
@@ -210,14 +209,8 @@ def hook_lengths(parts: Sequence[int]) -> tuple[int, ...]:
 def a_t_direct(t: int, n: int) -> int:
     """Count t-core partitions of n: no hook length divisible by t.
 
-    The empty partition is a t-core, so a_t_direct(t, 0) = 1.
+    The empty partition has no hooks, so a_t_direct(t, 0) = 1.
     """
     if t < 2:
         raise ValueError("t must be at least 2")
-    count = 0
-    for parts in enumerate_partitions(n):
-        if not parts:
-            count += 1
-        elif all(h % t for h in hook_lengths(parts)):
-            count += 1
-    return count
+    return sum(all(h % t for h in hook_lengths(p)) for p in enumerate_partitions(n))

@@ -253,7 +253,7 @@ class TestUsage:
     def test_refused_request_keeps_an_existing_out(self, tmp_path):
         target = tmp_path / "x.txt"
         target.write_text("kept\n")
-        result = run("verify", "--suite", "p11", "--limit", str(genfun.MOD2_ORDER_CEILING + 1),
+        result = run("verify", "--suite", "p11", "--limit", str(series.MOD2_ORDER_CEILING + 1),
                      "--out", str(target))
         assert result.exit_code == 2
         assert target.read_text() == "kept\n"
@@ -288,7 +288,7 @@ class TestCeilings:
                              (series, "_gf2_mul"), (verify, "nonzero_indices"),
                              (verify, "ptt_mod2_series"), (verify, "enumerate_partitions")]:
             monkeypatch.setattr(module, name, no_build)
-        result = run(*args, "--limit", str(genfun.MOD2_ORDER_CEILING + 1))
+        result = run(*args, "--limit", str(series.MOD2_ORDER_CEILING + 1))
         assert result.exit_code == 2
         assert "exceeds the ceiling 100000000" in result.output
         assert "Traceback" not in result.output

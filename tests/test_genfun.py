@@ -7,7 +7,6 @@ from mexparity import genfun, series
 from mexparity.errors import LimitError, OrderLimitError
 from mexparity.genfun import (
     INT_ORDER_CEILING,
-    MOD2_ORDER_CEILING,
     acore_mod2_series,
     acore_series,
     dissection_identity_check,
@@ -15,7 +14,7 @@ from mexparity.genfun import (
     ptt_series,
 )
 from mexparity.partitions import MexSpec, a_t_direct, p_direct
-from mexparity.series import MOD2, TruncatedSeries, partition_parity, reduce_mod2
+from mexparity.series import MOD2, MOD2_ORDER_CEILING, TruncatedSeries, partition_parity, reduce_mod2
 from mexparity.verify import verify_dissection_identities
 from oracles import product_form, product_form_mod2
 

@@ -204,9 +204,8 @@ class TestHooks:
         assert hook_lengths((2, 1)) == (3, 1, 1)
         assert hook_lengths((1, 1, 1)) == (3, 2, 1)
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            hook_lengths(())
+    def test_empty_partition_has_no_hooks(self):
+        assert hook_lengths(()) == ()
 
     @given(partitions_of)
     def test_one_hook_per_cell(self, parts):

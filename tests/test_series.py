@@ -326,8 +326,8 @@ class TestPartitionParity:
 class TestMod2OrderCeiling:
     def test_one_ceiling_object_for_every_module(self):
         assert MOD2_ORDER_CEILING == 10**8
-        assert genfun.MOD2_ORDER_CEILING is MOD2_ORDER_CEILING
         assert mexparity.MOD2_ORDER_CEILING is MOD2_ORDER_CEILING
+        assert not hasattr(genfun, "MOD2_ORDER_CEILING")
 
     @pytest.fixture
     def no_build(self, monkeypatch):

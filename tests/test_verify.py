@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from mexparity import genfun, series, verify
 from mexparity.errors import EnumerationLimitError, LimitError, OrderLimitError
-from mexparity.genfun import MOD2_ORDER_CEILING, acore_mod2_series, ptt_mod2_series
+from mexparity.genfun import acore_mod2_series, ptt_mod2_series
 from mexparity.partitions import (
     ENUMERATION_CEILING,
     MexSpec,
@@ -19,6 +19,7 @@ from mexparity.partitions import (
 )
 from mexparity.series import (
     MOD2,
+    MOD2_ORDER_CEILING,
     TruncatedSeries,
     euler_pentagonal,
     jacobi_cube,
@@ -26,6 +27,7 @@ from mexparity.series import (
 )
 from mexparity.verify import (
     CongruenceClaim,
+    DEFAULT_POWER4_MAX_M,
     DEFAULT_QNR_PRIMES,
     SUITES,
     THEOREM6_RESIDUES,
@@ -84,6 +86,31 @@ def factor_oracle(step):
     """The factor-by-factor product at order 300, the largest order drawn;
     its prefix is the same product truncated at any lower order."""
     return tuple(euler_product_by_factors(step, 300))
+
+
+def first_index(modulus, residue):
+    """The smallest index n >= 1 with n = residue mod modulus."""
+    return residue % modulus or modulus
+
+
+def catalog_families():
+    """(name, modulus, residue) of every progression the catalog's family
+    reports cover, from the paper's formulas: the odd indices, the power-of-4
+    families for m <= 6, the p11 and p33 QNR families for primes 5 <= p <= 17
+    (the r in [1, p) with 12r + 1, resp. 3r + 1, a non-residue by Euler's
+    criterion), and the Theorem 6 classes mod 2t."""
+    families = [("odd", 2, 1)]
+    for m in range(7):
+        for modulus, k in ((4 ** (m + 1), 7), (4 ** (m + 1), 10), (2 * 4 ** (m + 1), 13)):
+            families.append((f"power4 m={m} k={k}", modulus, (k * 4**m - 1) // 3))
+    for which, shift in (("p11", 12), ("p33", 3)):
+        for p in (5, 7, 11, 13, 17):
+            residues = [r for r in range(1, p) if pow(shift * r + 1, (p - 1) // 2, p) == p - 1]
+            assert len(residues) == (p - 1) // 2
+            families.extend((f"{which} p={p}", p, r) for r in residues)
+    for t, residues in THEOREM6_RESIDUES.items():
+        families.extend((f"theorem6 t={t}", 2 * t, r) for r in residues)
+    return families
 
 
 class TestPredicates:
@@ -330,6 +357,22 @@ class TestProgressionFamilies:
             assert (10 * 4**m - 1) % 3 == 0
             assert (13 * 4**m - 1) % 3 == 0
 
+    @pytest.mark.parametrize("bound", [10**5, 10**6])
+    def test_every_catalog_family_has_an_index_below_the_bound(self, bound):
+        # the benchmark's catalog runs at 10^5 and CI's at 10^6; a family with
+        # no index n >= 1 below the bound would pass without being checked
+        assert DEFAULT_POWER4_MAX_M == 6
+        assert DEFAULT_QNR_PRIMES == (5, 7, 11, 13, 17)
+        unreached = [f for f in catalog_families() if first_index(*f[1:]) >= bound]
+        assert unreached == []
+
+    def test_every_power4_family_is_reached_from_17750(self):
+        firsts = {f: first_index(*f[1:]) for f in catalog_families() if f[0].startswith("power4")}
+        assert len(firsts) == 21
+        last = max(firsts, key=firsts.get)
+        assert last == ("power4 m=6 k=13", 2 * 4**7, 17749)
+        assert max(firsts.values()) + 1 == 17750
+
     def test_theorem6_small(self):
         assert verify_theorem6(2500).passed
 
@@ -494,7 +537,7 @@ class TestSweepContract:
         monkeypatch.setattr(verify, "acore_mod2_series", planted({7: {0, 23, 13}}))
         report = verify_tcore_congruences(100)
         assert report.counterexample == 13
-        assert report.detail == "odd t-core count at index 13 = 14n + 13 (t=7)"
+        assert report.detail == "odd count at index 13 = 14n + 13 (t=7)"
 
 
 def rebuilt_product(a, b, order):
