@@ -9,10 +9,12 @@ of 0.
 Enumeration is an iterative generator (ZS1) that rewrites one list in
 place, with no recursion.  It is deliberately capped (see
 ENUMERATION_CEILING): p(45) is 89,134 partitions, made in 0.04 s; the
-crank/rank verifier reads each once, its ones stripped and put back in
-closed form, for every weight up to 45 (see verify._crank_rank_tallies).
-But the count grows subexponentially and silently accepting much larger
-weights would hang the caller: past the ceiling EnumerationLimitError is raised.
+crank/rank verifier walks as many cores, the partitions into parts > 1 of
+weight up to 45, one for each partition of 45 once its ones are stripped
+(see verify._crank_rank_tallies).  But the count grows subexponentially
+and silently accepting much larger weights would hang the caller: past
+the ceiling checked_weight raises EnumerationLimitError, for the
+enumeration here and for that walk alike.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .errors import EnumerationLimitError
 __all__ = [
     "ENUMERATION_CEILING",
     "MexSpec",
+    "checked_weight",
     "enumerate_partitions",
     "mex",
     "p_direct",
@@ -90,13 +93,22 @@ def enumerate_partitions(n: int) -> Iterator[tuple[int, ...]]:
     (4), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1).  n = 0 yields only the
     empty partition.
     """
+    return _descending_partitions(checked_weight(n))
+
+
+def checked_weight(n: int) -> int:
+    """n itself, once the partitions of n may be enumerated.
+
+    A negative n is a ValueError, and one past ENUMERATION_CEILING an
+    EnumerationLimitError, raised before anything of its size is built.
+    """
     if n < 0:
         raise ValueError("n must be non-negative")
     if n > ENUMERATION_CEILING:
         raise EnumerationLimitError(
             f"enumeration of p({n}) partitions exceeds the ceiling n <= {ENUMERATION_CEILING}"
         )
-    return _descending_partitions(n)
+    return n
 
 
 def _descending_partitions(n: int) -> Iterator[tuple[int, ...]]:

@@ -23,14 +23,13 @@ trivial reasons and the parity statements all start at n = 1.
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import accumulate, zip_longest
 from math import isqrt
 from typing import Iterable, NamedTuple
 
 from .errors import LimitError, OrderLimitError
 from .genfun import acore_mod2_series, dissection_identity_check, ptt_mod2_series
-from .partitions import ENUMERATION_CEILING, enumerate_partitions
+from .partitions import ENUMERATION_CEILING, checked_weight
 from .series import (
     MOD2_ORDER_CEILING,
     euler_pentagonal,
@@ -290,50 +289,75 @@ def verify_characterization(which: str, bound: int) -> VerificationReport:
     return _report(theorem_id, rng, None)
 
 
-def _family_stats(parts: tuple[int, ...]) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    # parts is a core, its k parts > 1, plus w ones, and stands for the
-    # family core + (1,)*j, 0 <= j <= w.  Returns w, the core's flags and the
-    # family's runs for crank >= 0, mex_{1,1} counted, rank >= -1 and mex_{3,3}
-    # counted: core + (1,)*j has a statistic for 1 <= j <= its run.  From the
-    # definitions: a non-empty core has crank parts[0] >= 0 and mex_{1,1} = 1
-    # (counted), the empty one no flags; for j >= 1 the crank #(core parts >
-    # j) - j is >= 0 iff j <= k and parts[j - 1] > j, mex_{1,1} is the first
-    # integer >= 2 missing, the rank parts[0] - k - j (1 - j for the empty
-    # core) is >= -1 up to j = parts[0] - k + 1 (2), and mex_{3,3} is fixed.
-    w = parts.count(1)
-    k = len(parts) - w
-    present = set(parts)
-    mex11 = 2
-    while mex11 in present:
-        mex11 += 1
-    mex33 = 3
-    while mex33 in present:
-        mex33 += 3
-    mex33_ok = mex33 % 6 == 3
-    if not k:
-        return w, (0, 0, 0, 0), (0, 0, min(w, 2), w * mex33_ok)
-    j, top = 0, min(w, k)
-    while j < top and parts[j] > j + 1:
-        j += 1
-    rank_top = parts[0] - k + 1
-    return w, (1, 1, rank_top >= 0, mex33_ok), (j, w * (mex11 % 2), max(0, min(w, rank_top)), w * mex33_ok)
+def _core_tally(bound: int) -> dict[tuple[int, int, int, bool, bool], int]:
+    # Counts every core, a partition into parts > 1 of weight s <= bound, by
+    # its key (s, lead, crank run, mex_{1,1} odd, mex_{3,3} counted): lead is
+    # its largest part `top` minus its k parts, the crank run the length of
+    # its prefix with parts[i] > i + 1, and the mexes its smallest missing
+    # integer >= 2 and multiple of 3.  The empty core, of (1,)*j with rank
+    # 1 - j, has lead 1.  Parts are appended in non-increasing order; a node
+    # also keeps its smallest part `last`, its smallest multiple of 3 `low3`
+    # (0 if none) and the tops `run11` and `run3` of the runs of consecutive
+    # parts and of consecutive multiples of 3 down to them.  A part v > k + 1
+    # extends the crank run (every earlier part is >= v); mex_{1,1} is
+    # run11 + 1 if last is 2, else 2; mex_{3,3} is run3 + 3 if low3 is 3,
+    # else 3.  The walk starts at the empty core with top 0 (none yet) and
+    # last = bound + 2, above every part, so its children start fresh runs.
+    tally = {(0, 1, 0, False, True): 1}
+    get = tally.get
+
+    def grow(s, top, k, crank_run, last, run11, low3, run3):
+        # tallies and walks the children of a core with room for a part
+        k += 1
+        for v in range(min(last, bound - s), 1, -1):
+            first = top or v
+            c = crank_run + (v > k)
+            r11 = run11 if v + 1 >= last else v
+            if v % 3:
+                l3, r3 = low3, run3
+            elif v == low3 or v + 3 == low3:
+                l3, r3 = v, run3
+            else:
+                l3 = r3 = v
+            key = (s + v, first - k, c, v == 2 and not r11 % 2, l3 != 3 or not r3 % 6)
+            tally[key] = get(key, 0) + 1
+            if s + v + 2 <= bound:
+                grow(s + v, first, k, c, v, r11, l3, r3)
+
+    grow(0, 0, 0, 0, bound + 2, 0, 0, 0)
+    return tally
+
+
+def _family_runs(w: int, key: tuple) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # The flags of a core with this key and the runs of its family core +
+    # (1,)*j, 1 <= j <= w, for crank >= 0, mex_{1,1} counted, rank >= -1 and
+    # mex_{3,3} counted: core + (1,)*j has a statistic for 1 <= j <= its run.
+    # From the definitions: a non-empty core has crank parts[0] >= 0 and
+    # mex_{1,1} = 1 (counted), the empty one no flags; for j >= 1 the crank
+    # #(core parts > j) - j is >= 0 iff j <= k and parts[j - 1] > j, that is
+    # j <= the crank run, mex_{1,1} is the first integer >= 2 missing, the
+    # rank lead - j is >= -1 up to j = lead + 1, and mex_{3,3} is fixed.
+    s, lead, crank_run, mex11_odd, mex33_ok = key
+    runs = (min(crank_run, w), w * mex11_odd, max(0, min(w, lead + 1)), w * mex33_ok)
+    return ((1, 1, lead >= -1, mex33_ok) if s else (0, 0, 0, 0)), runs
 
 
 def _crank_rank_tallies(bound: int) -> list[tuple[int, int, int, int]]:
     # Entry n, 1 <= n <= bound, counts the partitions of n with crank >= 0,
     # mex_{1,1} in its counted class, rank >= -1 and mex_{3,3} in its counted
-    # class (entry 0 is all zeros), reading each partition of `bound` once.
-    # One with w ones has a core of weight s = bound - w whose family holds
-    # one partition of each weight s..bound; stripping the ones is a
-    # bijection, so every partition of every n <= bound is in one family.  A
+    # class (entry 0 is all zeros).  A partition with its ones stripped is a
+    # core of weight s, and core + (1,)*j for 0 <= j <= w = bound - s is one
+    # partition of each weight s..bound, so every partition of every n <=
+    # bound is in exactly one core's family, and there are p(bound) cores.  A
     # statistic holds at s + j for j from 0 (1 if the core lacks it) through
-    # its run: one interval of a difference array per distinct
-    # _family_stats value.  The enumeration is started first, so a bound past
-    # its ceiling fails before any table is allocated.
-    families = Counter(map(_family_stats, enumerate_partitions(bound)))
+    # its run: one interval of a difference array per key of _core_tally.
+    # The ceiling is checked first, so a bound past it fails before the walk
+    # or any table.
+    cores = _core_tally(checked_weight(bound))
     deltas = [[0] * (bound + 2) for _ in range(4)]
-    for (w, flags, runs), count in families.items():
-        s = bound - w
+    for key, count in cores.items():
+        s = key[0]
+        flags, runs = _family_runs(bound - s, key)
         for d, flag, run in zip(deltas, flags, runs):
             d[s + 1 - flag] += count
             d[s + run + 1] -= count
@@ -345,13 +369,15 @@ def verify_crank_rank(bound: int) -> VerificationReport:
 
     For every 1 <= n <= bound: the mex count for (1,1) equals the number
     of partitions of n with crank >= 0, and the mex count for (3,3)
-    equals the number with rank >= -1.  Each partition of the bound is
-    read once: with its ones stripped, it is a core of parts > 1 that with
-    j added ones gives one partition of each weight from the core's up to
-    the bound, and along that family each statistic holds on one run of
-    weights whose end follows in closed form from the core's first parts,
-    its size and its smallest missing parts.  A bound past
-    ENUMERATION_CEILING raises the enumeration's EnumerationLimitError.
+    equals the number with rank >= -1.  One depth-first walk visits each
+    core once, each partition into parts > 1 of weight up to the bound,
+    updating its size, largest part, crank run and the runs of consecutive
+    parts that give both mexes as each part is appended.  With j added
+    ones a core gives one partition of each weight from its own up to the
+    bound, and along that family each statistic holds on one run of
+    weights whose end follows in closed form from that state.  A bound past
+    ENUMERATION_CEILING raises partitions.checked_weight's
+    EnumerationLimitError before the walk.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")

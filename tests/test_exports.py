@@ -67,7 +67,7 @@ def test_no_module_imports_a_private_name_of_another():
     "root, helpers",
     [
         # the brute-force crank/rank oracle
-        ("_crank_rank_tallies", {"_family_stats"}),
+        ("_crank_rank_tallies", {"_core_tally", "_family_runs"}),
         # the identity suite's divisor sums, products and comparison, which
         # take plain coefficient lists and tuples
         ("_divisor_sums", set()),

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 from collections import Counter
 
 import pytest
@@ -10,6 +11,7 @@ from mexparity.partitions import (
     ENUMERATION_CEILING,
     MexSpec,
     a_t_direct,
+    checked_weight,
     conjugate,
     crank,
     enumerate_partitions,
@@ -79,6 +81,15 @@ class TestEnumeration:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             enumerate_partitions(-1)
+
+    def test_checked_weight(self):
+        # the ceiling check that enumerate_partitions and the crank/rank walk share
+        assert [checked_weight(n) for n in (0, 1, ENUMERATION_CEILING)] == [0, 1, ENUMERATION_CEILING]
+        message = f"enumeration of p(46) partitions exceeds the ceiling n <= {ENUMERATION_CEILING}"
+        with pytest.raises(EnumerationLimitError, match=re.escape(message)):
+            checked_weight(ENUMERATION_CEILING + 1)
+        with pytest.raises(ValueError):
+            checked_weight(-1)
 
 
 class TestMex:

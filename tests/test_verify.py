@@ -1,5 +1,6 @@
 import pickle
 import tracemalloc
+from collections import Counter
 from functools import lru_cache
 from math import isqrt
 
@@ -52,6 +53,7 @@ from oracles import (
     crank_rank_tallies_by_partition,
     crank_unordered,
     euler_product_by_factors,
+    family_stats,
     literal_euler_product,
     partition_counts,
     pent_type_by_search,
@@ -258,13 +260,29 @@ class TestCrankRank:
         assert tallies[0] == (0, 0, 0, 0)
         assert tallies[1:] == reference[1:]
 
+    @pytest.mark.parametrize("bound", [*range(1, 31), ENUMERATION_CEILING])
+    def test_walk_matches_the_per_tuple_reference(self, bound):
+        # the running statistics of the core walk and their closed forms,
+        # key by key, against the same closed forms read off each partition
+        # of the bound: one core per partition, so p(bound) nodes
+        cores = verify._core_tally(bound)
+        triples = Counter()
+        for key, count in cores.items():
+            w = bound - key[0]
+            triples[(w, *verify._family_runs(w, key))] += count
+        assert triples == Counter(map(family_stats, enumerate_partitions(bound)))
+        nodes = sum(cores.values())
+        assert nodes == partition_counts(bound + 1)[bound]
+        if bound == ENUMERATION_CEILING:
+            assert nodes == 89134
+
     def test_family_stats_match_the_statistics_of_each_member(self):
         # the closed forms, against the public statistics of every real
         # tuple core + (1,)*j that a partition of n <= 25 stands for
         spec11, spec33 = MexSpec(1, 1), MexSpec(3, 3)
         for n in range(1, 26):
             for parts in enumerate_partitions(n):
-                w, flags, runs = verify._family_stats(parts)
+                w, flags, runs = family_stats(parts)
                 core = parts[: len(parts) - w]
                 assert 1 not in core and core + (1,) * w == parts
                 assert all(0 <= run <= w for run in runs), parts
@@ -284,35 +302,42 @@ class TestCrankRank:
             with pytest.raises(EnumerationLimitError):
                 verify_crank_rank(bound)
 
+    def test_ceiling_is_checked_before_the_walk(self, monkeypatch):
+        # partitions owns the ceiling and its message; the walk never starts
+        monkeypatch.setattr(verify, "_core_tally", None)
+        with pytest.raises(EnumerationLimitError) as raised:
+            verify_crank_rank(ENUMERATION_CEILING + 1)
+        with pytest.raises(EnumerationLimitError) as enumerated:
+            enumerate_partitions(ENUMERATION_CEILING + 1)
+        assert str(raised.value) == str(enumerated.value)
+
     @staticmethod
     def plant(monkeypatch, stat, fails):
         # statistic `stat` (0 crank >= 0, 2 rank >= -1) made false on each
-        # family member core + (1,)*j with fails(core, j), through the one
-        # helper the tally reads: a core's flag is cleared, and a run 1..J is
-        # cut before its first failing member
-        real = verify._family_stats
+        # family member core + (1,)*j with fails(key, j), key the core's walk
+        # key, through the key-to-runs step the tally reads: a core's flag is
+        # cleared, and a run 1..J is cut before its first failing member
+        real = verify._family_runs
 
-        def wrong(parts):
-            w, flags, runs = real(parts)
-            core = parts[: len(parts) - w]
-            flags, runs = list(flags), list(runs)
-            if core and fails(core, 0):
+        def wrong(w, key):
+            flags, runs = map(list, real(w, key))
+            if key[0] and fails(key, 0):
                 flags[stat] = 0
-            runs[stat] = next((j - 1 for j in range(1, runs[stat] + 1) if fails(core, j)), runs[stat])
-            return w, tuple(flags), tuple(runs)
+            runs[stat] = next((j - 1 for j in range(1, runs[stat] + 1) if fails(key, j)), runs[stat])
+            return tuple(flags), tuple(runs)
 
-        monkeypatch.setattr(verify, "_family_stats", wrong)
+        monkeypatch.setattr(verify, "_family_runs", wrong)
 
     def test_crank_side_failure_is_reported(self, monkeypatch):
         # no crank >= 0 anywhere, while p_{1,1}(1) = 0 and p_{1,1}(2) = 1
-        self.plant(monkeypatch, 0, lambda core, j: True)
+        self.plant(monkeypatch, 0, lambda key, j: True)
         report = verify_crank_rank(10)
         assert (report.passed, report.counterexample) == (False, 2)
         assert report.detail == "crank side mismatch"
 
     def test_rank_side_failure_is_reported(self, monkeypatch):
         # no rank >= -1 anywhere, while p_{3,3}(1) = 1
-        self.plant(monkeypatch, 2, lambda core, j: True)
+        self.plant(monkeypatch, 2, lambda key, j: True)
         report = verify_crank_rank(10)
         assert (report.passed, report.counterexample) == (False, 1)
         assert report.detail == "rank side mismatch"
@@ -321,9 +346,17 @@ class TestCrankRank:
     def test_one_failing_partition_is_reported(self, monkeypatch, planted):
         # (2, 2) is a family's core (no ones added), (3, 1) the first member
         # of the family of (3,); either one alone must unbalance n = 4.  The
+        # core (3,) is the only one of weight 3 and (2, 2) the only one of
+        # weight 4 with lead 2 - 2 = 0, so each has a key of its own.  The
         # crank run of (3,) is (3, 1) alone, so cutting it fails no other
-        assert verify._family_stats((3, 1))[2][0] == 1
-        self.plant(monkeypatch, 0, lambda core, j: core + (1,) * j == planted)
+        ones = planted.count(1)
+        core = planted[: len(planted) - ones]
+        s, lead = sum(core), core[0] - len(core)
+        cores = verify._core_tally(10)
+        keys = [key for key in cores if key[:2] == (s, lead)]
+        assert len(keys) == 1 and cores[keys[0]] == 1
+        assert verify._family_runs(10 - s, keys[0])[1][0] == 1
+        self.plant(monkeypatch, 0, lambda key, j: key == keys[0] and j == ones)
         report = verify_crank_rank(10)
         assert (report.passed, report.counterexample) == (False, 4)
         assert report.detail == "crank side mismatch"
@@ -843,7 +876,7 @@ class TestMod2OrderCeiling:
             "nonzero_indices",
             "ptt_mod2_series",
             "acore_mod2_series",
-            "enumerate_partitions",
+            "_core_tally",
             "_divisor_sums",
             "dissection_identity_check",
         ):
