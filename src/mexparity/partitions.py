@@ -6,9 +6,11 @@ oracles for the series pipeline.  A partition is represented as a tuple of
 weakly decreasing positive parts; the empty tuple is the unique partition
 of 0.
 
-Enumeration is an iterative generator (ZS1) that rewrites one list in
-place, with no recursion.  It is deliberately capped (see
-ENUMERATION_CEILING): p(45) is 89,134 partitions, made in 0.04 s; the
+Enumeration is an iterative generator, with no recursion, over a
+partition's core, its parts > 1 kept in one list, and its count of ones:
+each successor lowers the core's last part by one and refills with as
+many copies as the freed weight allows.  It is deliberately capped (see
+ENUMERATION_CEILING): p(45) is 89,134 partitions, made in 0.03 s; the
 crank/rank verifier walks as many cores, the partitions into parts > 1 of
 weight up to 45, one for each partition of 45 once its ones are stripped
 (see verify._crank_rank_tallies).  But the count grows subexponentially
@@ -112,39 +114,24 @@ def checked_weight(n: int) -> int:
 
 
 def _descending_partitions(n: int) -> Iterator[tuple[int, ...]]:
-    # ZS1 (Zoghbi & Stojmenovic, Int. J. Comput. Math. 70, 1998): x[:m] is
-    # the current partition, x[h] its last part > 1 and every x[i] with
-    # i > h is 1.  The successor lowers x[h] by one and refills the tail
-    # with as many copies of that value as fit, then the remainder.
-    if n == 0:
-        yield ()
-        return
-    x = [1] * n
-    x[0] = n
-    m = 1
-    h = 0
-    yield (n,)
-    while x[0] != 1:
-        if x[h] == 2:
-            x[h] = 1
-            h -= 1
-            m += 1
+    # A partition is its core, its parts > 1 in order, plus a count of ones.
+    # The successor lowers the core's last part by one to v.  If v is 1 the
+    # ones grow by two; otherwise the freed unit and the ones refill the core
+    # with as many more copies of v as fit, and what is left, below v, is one
+    # more part if it is > 1 and the one remaining one if it is 1.
+    core, ones = ([n], 0) if n > 1 else ([], n)
+    yield (n,) if n else ()
+    while core:
+        v = core.pop() - 1
+        if v == 1:
+            ones += 2
         else:
-            r = x[h] - 1
-            t = m - h
-            x[h] = r
-            while t >= r:
-                h += 1
-                x[h] = r
-                t -= r
-            if t == 0:
-                m = h + 1
-            else:
-                m = h + 2
-                if t > 1:
-                    h += 1
-                    x[h] = t
-        yield tuple(x[:m])
+            q, r = divmod(ones + 1, v)
+            core += [v] * (q + 1)
+            if r > 1:
+                core.append(r)
+            ones = 1 if r == 1 else 0
+        yield tuple(core) + (1,) * ones
 
 
 def mex(parts: Sequence[int], spec: MexSpec) -> int:

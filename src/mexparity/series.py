@@ -41,6 +41,7 @@ __all__ = [
     "INTEGERS",
     "MOD2",
     "MOD2_ORDER_CEILING",
+    "checked_mod2_order",
     "TruncatedSeries",
     "series_mul",
     "series_recip",
@@ -72,9 +73,15 @@ MOD2 = Domain.MOD2
 MOD2_ORDER_CEILING = 10**8
 
 
-def _require_mod2_order(order: int) -> None:
+def checked_mod2_order(order: int) -> int:
+    """order itself, once a GF(2) series of that order may be built.
+
+    An order past MOD2_ORDER_CEILING is an OrderLimitError, raised before
+    anything of its size is built.
+    """
     if order > MOD2_ORDER_CEILING:
         raise OrderLimitError(f"mod-2 series order {order} exceeds the ceiling {MOD2_ORDER_CEILING}")
+    return order
 
 
 class TruncatedSeries:
@@ -263,7 +270,7 @@ def partition_parity(order: int) -> TruncatedSeries:
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    _require_mod2_order(order)
+    checked_mod2_order(order)
     orders = [order]
     while orders[-1] > 1:
         orders.append((orders[-1] + 3) // 4)
@@ -327,7 +334,7 @@ def _from_terms(
     if order < 1:
         raise ValueError("order must be >= 1")
     if domain is MOD2:
-        _require_mod2_order(order)
+        checked_mod2_order(order)
     window = list(takewhile(lambda term: term[0] < order, terms))
     if domain is MOD2:
         bits = _bits_of((e for e, c in window if c & 1), order)

@@ -31,7 +31,7 @@ from .errors import LimitError, OrderLimitError
 from .genfun import acore_mod2_series, dissection_identity_check, ptt_mod2_series
 from .partitions import ENUMERATION_CEILING, checked_weight
 from .series import (
-    MOD2_ORDER_CEILING,
+    checked_mod2_order,
     euler_pentagonal,
     jacobi_cube,
     nonzero_indices,
@@ -234,9 +234,7 @@ def _checked_bound(bound: int) -> int:
     # every sweep's bound, checked before anything of its size is allocated
     if bound < 2:
         raise ValueError("bound must be >= 2 so that at least index 1 is checked")
-    if bound > MOD2_ORDER_CEILING:
-        raise OrderLimitError(f"mod-2 series order {bound} exceeds the ceiling {MOD2_ORDER_CEILING}")
-    return bound
+    return checked_mod2_order(bound)
 
 
 def _class_witness(digits: str, modulus: int, r: int) -> int | None:
@@ -276,7 +274,8 @@ def verify_characterization(which: str, bound: int) -> VerificationReport:
     one list but not both.
     """
     t, shift = _characterization(which)
-    theorem_id, rng = f"{which}-characterization", f"1 <= n < {_checked_bound(bound)}"
+    _checked_bound(bound)
+    theorem_id, rng = f"{which}-characterization", f"1 <= n < {bound}"
     roots = range(2, isqrt(shift * (bound - 1) + 1) + 1)
     predicted = ((r * r - 1) // shift for r in roots if r * r % shift == 1)
     odd = (n for n in nonzero_indices(ptt_mod2_series(t, bound)) if n)
@@ -432,11 +431,12 @@ def verify_power4_families(max_m: int, bound: int) -> VerificationReport:
 
 def _residue_families(theorem_id: str, series_of, bound: int) -> VerificationReport:
     # the THEOREM6_RESIDUES classes mod 2t of series_of(t, bound), t ascending
+    _checked_bound(bound)
     families = (
         (series_of(t, bound).digits, 2 * t, THEOREM6_RESIDUES[t], f" (t={t})")
         for t in sorted(THEOREM6_RESIDUES)
     )
-    rng = f"t in {sorted(THEOREM6_RESIDUES)}, indices < {_checked_bound(bound)}"
+    rng = f"t in {sorted(THEOREM6_RESIDUES)}, indices < {bound}"
     return _sweep(theorem_id, rng, families)
 
 

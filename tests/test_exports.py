@@ -45,6 +45,30 @@ def test_only_series_knows_the_gf2_storage():
     assert offences == []
 
 
+def test_the_mod2_ceiling_is_compared_in_one_function():
+    # every GF(2) order check goes through series.checked_mod2_order
+    def ceiling_compares(tree):
+        return [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Compare)
+            and any(
+                getattr(n, "id", getattr(n, "attr", None)) == "MOD2_ORDER_CEILING"
+                for n in ast.walk(node)
+            )
+        ]
+
+    paths = sorted(Path(mexparity.__file__).parent.glob("*.py"))
+    compares = [node for path in paths for node in ceiling_compares(ast.parse(path.read_text()))]
+    [owner] = [
+        node
+        for node in ast.parse(Path(series.__file__).read_text()).body
+        if isinstance(node, ast.FunctionDef) and node.name == "checked_mod2_order"
+    ]
+    assert len(compares) == 1
+    assert len(ceiling_compares(owner)) == 1
+
+
 def test_no_module_imports_a_private_name_of_another():
     # a private name stays in its module: no `from .x import _y`, and no
     # `x._y` on a package module imported as `from . import x`
@@ -97,5 +121,5 @@ def test_oracles_read_no_series_code(root, helpers):
         names |= used
         todo += sorted(used & functions.keys())
     assert reached == {root} | helpers
-    assert series_names >= {"ptt_mod2_series", "MOD2_ORDER_CEILING", "euler_pentagonal"}
+    assert series_names >= {"ptt_mod2_series", "checked_mod2_order", "euler_pentagonal"}
     assert names & series_names == set()

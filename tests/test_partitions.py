@@ -50,12 +50,17 @@ class TestEnumeration:
     def test_zero_yields_empty_partition(self):
         assert list(enumerate_partitions(0)) == [()]
 
+    def test_exact_order_for_1_to_3(self):
+        assert list(enumerate_partitions(1)) == [(1,)]
+        assert list(enumerate_partitions(2)) == [(2,), (1, 1)]
+        assert list(enumerate_partitions(3)) == [(3,), (2, 1), (1, 1, 1)]
+
     def test_count_of_10(self):
         assert sum(1 for _ in enumerate_partitions(10)) == 42
 
     def test_counts_match_dp_oracle(self):
-        dp = partition_counts(29)
-        for n in range(29):
+        dp = partition_counts(ENUMERATION_CEILING + 1)
+        for n in range(ENUMERATION_CEILING + 1):
             assert sum(1 for _ in enumerate_partitions(n)) == dp[n]
 
     def test_counts_match_series_route(self):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import mexparity
-from mexparity import genfun, series
+from mexparity import genfun, series, verify
 from mexparity.errors import OrderLimitError
 from mexparity.series import (
     INTEGERS,
@@ -13,6 +13,7 @@ from mexparity.series import (
     MOD2_ORDER_CEILING,
     TruncatedSeries,
     alternating_triangular,
+    checked_mod2_order,
     dissect,
     euler_pentagonal,
     euler_product,
@@ -328,6 +329,14 @@ class TestMod2OrderCeiling:
         assert MOD2_ORDER_CEILING == 10**8
         assert mexparity.MOD2_ORDER_CEILING is MOD2_ORDER_CEILING
         assert not hasattr(genfun, "MOD2_ORDER_CEILING")
+        assert not hasattr(verify, "MOD2_ORDER_CEILING")
+
+    def test_checked_mod2_order(self):
+        assert checked_mod2_order(MOD2_ORDER_CEILING) == MOD2_ORDER_CEILING
+        with pytest.raises(
+            OrderLimitError, match=r"^mod-2 series order 100000001 exceeds the ceiling 100000000$"
+        ):
+            checked_mod2_order(MOD2_ORDER_CEILING + 1)
 
     @pytest.fixture
     def no_build(self, monkeypatch):
