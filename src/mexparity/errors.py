@@ -1,9 +1,9 @@
 """Typed errors for requests that would exhaust time or memory.
 
 Each brute-force enumeration and each series domain has a ceiling on
-the size it accepts, and so does the congruence scanner's modulus; a
-request past one fails at once with a LimitError (a ValueError) instead
-of running for minutes or exhausting memory.
+the size it accepts, and so do the congruence scanner's modulus and the
+crank/rank bound; a request past one fails at once with a LimitError
+(a ValueError) instead of running for minutes or exhausting memory.
 """
 
 __all__ = ["LimitError", "EnumerationLimitError", "OrderLimitError"]

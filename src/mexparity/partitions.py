@@ -10,13 +10,10 @@ Enumeration is an iterative generator, with no recursion, over a
 partition's core, its parts > 1 kept in one list, and its count of ones:
 each successor lowers the core's last part by one and refills with as
 many copies as the freed weight allows.  It is deliberately capped (see
-ENUMERATION_CEILING): p(45) is 89,134 partitions, made in 0.03 s; the
-crank/rank verifier walks as many cores, the partitions into parts > 1 of
-weight up to 45, one for each partition of 45 once its ones are stripped
-(see verify._crank_rank_tallies).  But the count grows subexponentially
-and silently accepting much larger weights would hang the caller: past
-the ceiling checked_weight raises EnumerationLimitError, for the
-enumeration here and for that walk alike.
+ENUMERATION_CEILING): p(45) is 89,134 partitions, made in 0.03 s, but
+the count grows subexponentially and silently accepting much larger
+weights would hang the caller: past the ceiling checked_weight raises
+EnumerationLimitError before anything is enumerated.
 """
 
 from __future__ import annotations

@@ -98,7 +98,11 @@ class TruncatedSeries:
     domain: Domain
 
     def __new__(cls, coeffs: Iterable[int], domain: Domain = INTEGERS):
-        # index() takes ints and bools only: a float or a str is a TypeError
+        # index() takes ints and bools only: a float or a str is a TypeError,
+        # and so is a domain that is not a Domain, which every `is MOD2`
+        # branch would read as the integers
+        if not isinstance(domain, Domain):
+            raise TypeError(f"domain must be a Domain, got {domain!r}")
         data = tuple(map(index, coeffs))
         if not data:
             raise ValueError("a series needs order >= 1 (at least the q^0 coefficient)")
@@ -333,6 +337,8 @@ def _from_terms(
     # infinite) stream
     if order < 1:
         raise ValueError("order must be >= 1")
+    if not isinstance(domain, Domain):
+        raise TypeError(f"domain must be a Domain, got {domain!r}")
     if domain is MOD2:
         checked_mod2_order(order)
     window = list(takewhile(lambda term: term[0] < order, terms))

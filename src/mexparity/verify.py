@@ -8,13 +8,14 @@ exclusive bound needs bound >= 2, so that index 1 is in range; a smaller
 bound, like an empty list of families, is a ValueError, never a vacuous
 pass.  A bound above series.MOD2_ORDER_CEILING raises OrderLimitError,
 as does an identity order above IDENTITY_CEILING (10^4), and a scan
-modulus above SCAN_MODULUS_CEILING (10^6) a LimitError, before anything
-is built.  Every family is read as slices of the parity
-series' digit string, q^0 first.  Nothing here proves anything: a passing
-report means "no counterexample below the stated bound", full stop.  The
-scanner makes that explicit by emitting CongruenceClaim records that are
-refuted (with a witness), verified-to-bound, or unchecked when the window
-held no index of the class.
+modulus above SCAN_MODULUS_CEILING (10^6) or a crank/rank bound above
+CRANK_RANK_CEILING (45) a LimitError, before anything is built.  Every
+family is read as slices of the parity series' digit string, q^0 first.
+Nothing here proves anything: a passing report means "no counterexample
+below the stated bound", full stop.  The scanner makes that explicit by
+emitting CongruenceClaim records that are refuted (with a witness),
+verified-to-bound, or unchecked when the window held no index of the
+class.
 
 Index 0 is excluded from every congruence sweep: the weight-0 count is 1
 (the empty partition always qualifies), so its coefficient is odd for
@@ -29,7 +30,6 @@ from typing import Iterable, NamedTuple
 
 from .errors import LimitError, OrderLimitError
 from .genfun import acore_mod2_series, dissection_identity_check, ptt_mod2_series
-from .partitions import ENUMERATION_CEILING, checked_weight
 from .series import (
     checked_mod2_order,
     euler_pentagonal,
@@ -79,6 +79,9 @@ DEFAULT_QNR_PRIMES = (5, 7, 11, 13, 17)
 # `verify --suite all` fast (the three rebuilt products take 0.19 s at 10^4,
 # 1.06 s at 3*10^4 and 3.85 s at 6*10^4 on a 2-vCPU VM, so minutes at 10^6)
 IDENTITY_CEILING = 10**4
+# largest bound verify_crank_rank accepts, and run_suite's clamp for it: its
+# range text, "1 <= n <= 45", is in the digests
+CRANK_RANK_CEILING = 45
 # largest modulus scan_congruences accepts: it builds one claim per class,
 # about 0.9 KiB each, so 10^6 classes take about 0.9 GiB
 SCAN_MODULUS_CEILING = 10**6
@@ -288,98 +291,80 @@ def verify_characterization(which: str, bound: int) -> VerificationReport:
     return _report(theorem_id, rng, None)
 
 
-def _core_tally(bound: int) -> dict[tuple[int, int, int, bool, bool], int]:
-    # Counts every core, a partition into parts > 1 of weight s <= bound, by
-    # its key (s, lead, crank run, mex_{1,1} odd, mex_{3,3} counted): lead is
-    # its largest part `top` minus its k parts, the crank run the length of
-    # its prefix with parts[i] > i + 1, and the mexes its smallest missing
-    # integer >= 2 and multiple of 3.  The empty core, of (1,)*j with rank
-    # 1 - j, has lead 1.  Parts are appended in non-increasing order; a node
-    # also keeps its smallest part `last`, its smallest multiple of 3 `low3`
-    # (0 if none) and the tops `run11` and `run3` of the runs of consecutive
-    # parts and of consecutive multiples of 3 down to them.  A part v > k + 1
-    # extends the crank run (every earlier part is >= v); mex_{1,1} is
-    # run11 + 1 if last is 2, else 2; mex_{3,3} is run3 + 3 if low3 is 3,
-    # else 3.  The walk starts at the empty core with top 0 (none yet) and
-    # last = bound + 2, above every part, so its children start fresh runs.
-    tally = {(0, 1, 0, False, True): 1}
-    get = tally.get
-
-    def grow(s, top, k, crank_run, last, run11, low3, run3):
-        # tallies and walks the children of a core with room for a part
-        k += 1
-        for v in range(min(last, bound - s), 1, -1):
-            first = top or v
-            c = crank_run + (v > k)
-            r11 = run11 if v + 1 >= last else v
-            if v % 3:
-                l3, r3 = low3, run3
-            elif v == low3 or v + 3 == low3:
-                l3, r3 = v, run3
-            else:
-                l3 = r3 = v
-            key = (s + v, first - k, c, v == 2 and not r11 % 2, l3 != 3 or not r3 % 6)
-            tally[key] = get(key, 0) + 1
-            if s + v + 2 <= bound:
-                grow(s + v, first, k, c, v, r11, l3, r3)
-
-    grow(0, 0, 0, 0, bound + 2, 0, 0, 0)
-    return tally
+def _add_part(counts: list[int], m: int) -> list[int]:
+    # the counts of partitions, now also allowed parts m, in place: times
+    # 1/(1 - q^m)
+    for n in range(m, len(counts)):
+        counts[n] += counts[n - m]
+    return counts
 
 
-def _family_runs(w: int, key: tuple) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # The flags of a core with this key and the runs of its family core +
-    # (1,)*j, 1 <= j <= w, for crank >= 0, mex_{1,1} counted, rank >= -1 and
-    # mex_{3,3} counted: core + (1,)*j has a statistic for 1 <= j <= its run.
-    # From the definitions: a non-empty core has crank parts[0] >= 0 and
-    # mex_{1,1} = 1 (counted), the empty one no flags; for j >= 1 the crank
-    # #(core parts > j) - j is >= 0 iff j <= k and parts[j - 1] > j, that is
-    # j <= the crank run, mex_{1,1} is the first integer >= 2 missing, the
-    # rank lead - j is >= -1 up to j = lead + 1, and mex_{3,3} is fixed.
-    s, lead, crank_run, mex11_odd, mex33_ok = key
-    runs = (min(crank_run, w), w * mex11_odd, max(0, min(w, lead + 1)), w * mex33_ok)
-    return ((1, 1, lead >= -1, mex33_ok) if s else (0, 0, 0, 0)), runs
+def _drop_part(counts: list[int], m: int) -> list[int]:
+    # the inverse of _add_part, in place: times (1 - q^m), so the counts of
+    # partitions with parts m allowed become those with no part m
+    for n in range(len(counts) - 1, m - 1, -1):
+        counts[n] -= counts[n - m]
+    return counts
+
+
+def _add_shifted(total: list[int], counts: list[int], shift: int, times: int = 1) -> None:
+    # total[n] += times * counts[n - shift] for every n >= shift, in place
+    total[shift:] = [t + times * c for t, c in zip(total[shift:], counts)]
 
 
 def _crank_rank_tallies(bound: int) -> list[tuple[int, int, int, int]]:
     # Entry n, 1 <= n <= bound, counts the partitions of n with crank >= 0,
-    # mex_{1,1} in its counted class, rank >= -1 and mex_{3,3} in its counted
-    # class (entry 0 is all zeros).  A partition with its ones stripped is a
-    # core of weight s, and core + (1,)*j for 0 <= j <= w = bound - s is one
-    # partition of each weight s..bound, so every partition of every n <=
-    # bound is in exactly one core's family, and there are p(bound) cores.  A
-    # statistic holds at s + j for j from 0 (1 if the core lacks it) through
-    # its run: one interval of a difference array per key of _core_tally.
-    # The ceiling is checked first, so a bound past it fails before the walk
-    # or any table.
-    cores = _core_tally(checked_weight(bound))
-    deltas = [[0] * (bound + 2) for _ in range(4)]
-    for key, count in cores.items():
-        s = key[0]
-        flags, runs = _family_runs(bound - s, key)
-        for d, flag, run in zip(deltas, flags, runs):
-            d[s + 1 - flag] += count
-            d[s + run + 1] -= count
-    return list(zip(*map(accumulate, deltas)))[: bound + 1]
+    # mex_{1,1} odd, rank >= -1 and mex_{3,3} an odd multiple of 3 (entry 0
+    # is all zeros), each from its definition; at_most[j] counts the
+    # partitions into parts <= j, by weight.
+    size = bound + 1
+    empty = [1] + [0] * bound
+    at_most = list(accumulate(range(1, size), lambda c, j: _add_part(c[:], j), initial=empty))
+    p = at_most[-1]
+    # mex_{s,s} = s*m: parts s, ..., s(m - 1) occur and s*m does not; less
+    # one copy of each, a partition of n - s*m(m - 1)/2 with no part s*m
+    mex11, mex33 = [0] * size, [0] * size
+    for counts, step in ((mex11, 1), (mex33, 3)):
+        for m in range(1, isqrt(2 * bound) + 2, 2):
+            _add_shifted(counts, _drop_part(p[:], step * m), step * m * (m - 1) // 2)
+    # crank >= 0: with no ones, every partition (its crank is its largest
+    # part); with w >= 1 ones, those with j >= w parts > w.  Less w + 1
+    # each, those j parts are a partition into at most j parts, counted as
+    # its conjugate into parts <= j; the other parts lie in [2, w], `small`
+    crank, small = _drop_part(p[:], 1), empty[:]
+    for w in range(1, isqrt(bound) + 1):
+        big = [0] * size
+        for j in range(w, bound // (w + 1) + 1):
+            _add_shifted(big, at_most[j], j * (w + 1))
+        for x, a in enumerate(small):
+            _add_shifted(crank, big, x + w, a)
+        _add_part(small, w + 1)
+    # rank >= -1 matches rank <= 1 by conjugation: k parts, the largest
+    # <= k + 1; less its first column, a partition of n - k into at most k
+    # parts <= k, counted by `box`, the coefficients of [2k choose k]_q =
+    # [2k-2 choose k-1]_q (1 - q^(2k-1)) (1 - q^(2k)) / (1 - q^k)^2
+    rank, box = [0] * size, empty[:]
+    for k in range(1, size):
+        _drop_part(_drop_part(box, 2 * k - 1), 2 * k)
+        _add_part(_add_part(box, k), k)
+        _add_shifted(rank, box, k)
+    return [(0, 0, 0, 0)] + list(zip(crank, mex11, rank, mex33))[1:]
 
 
 def verify_crank_rank(bound: int) -> VerificationReport:
-    """Check the two enumeration equivalences by brute force.
+    """Check the two enumeration equivalences by counting.
 
     For every 1 <= n <= bound: the mex count for (1,1) equals the number
     of partitions of n with crank >= 0, and the mex count for (3,3)
-    equals the number with rank >= -1.  One depth-first walk visits each
-    core once, each partition into parts > 1 of weight up to the bound,
-    updating its size, largest part, crank run and the runs of consecutive
-    parts that give both mexes as each part is appended.  With j added
-    ones a core gives one partition of each weight from its own up to the
-    bound, and along that family each statistic holds on one run of
-    weights whose end follows in closed form from that state.  A bound past
-    ENUMERATION_CEILING raises partitions.checked_weight's
-    EnumerationLimitError before the walk.
+    equals the number with rank >= -1.  Each count comes from its
+    statistic's definition through lists of partition counts by weight,
+    with no generating function and no partition listed.  A bound past
+    CRANK_RANK_CEILING raises LimitError before any table is built.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
+    if bound > CRANK_RANK_CEILING:
+        raise LimitError(f"crank/rank bound {bound} exceeds the ceiling {CRANK_RANK_CEILING}")
     rng = f"1 <= n <= {bound}"
     tallies = _crank_rank_tallies(bound)
     for n in range(1, bound + 1):
@@ -559,7 +544,7 @@ def run_suite(name: str, bound: int) -> list[VerificationReport]:
     """Run one named verification suite at the given bound.
 
     Three sweeps are clamped so that a single large bound remains a
-    one-knob interface: crank-rank to the enumeration ceiling (n <= 45),
+    one-knob interface: crank-rank to CRANK_RANK_CEILING (n <= 45),
     the integer series identities to order IDENTITY_CEILING (10^4) and
     the dissection identity to order 500.  Each report's range shows the
     clamped value.
@@ -573,7 +558,7 @@ def run_suite(name: str, bound: int) -> list[VerificationReport]:
     if name in ("all", "p33"):
         reports.append(verify_characterization("p33", bound))
     if name in ("all", "crank-rank"):
-        reports.append(verify_crank_rank(min(bound, ENUMERATION_CEILING)))
+        reports.append(verify_crank_rank(min(bound, CRANK_RANK_CEILING)))
     if name in ("all", "theorem6"):
         reports.append(verify_theorem6(bound))
         reports.append(verify_tcore_congruences(bound))

@@ -10,10 +10,9 @@ and 1/(q;q) mod 2 is a Newton reciprocal, where the library uses the
 theta recursion R(q) = psi(q) * R(q^4).
 Partitions come from a recursive generator, and the crank is computed
 without assuming any order of the parts.  The crank/rank tallies are the
-per-weight route: every partition of n goes through the library's four
-statistics, with none of the ones-family shortcuts of the verifier; and
-the ones-family closed forms are read off each partition's own tuple,
-where the verifier carries running statistics along a walk over cores.
+per-partition route: every partition of n goes through the library's
+four statistics, where the verifier counts each statistic from its
+definition with tables of partition counts and lists no partition.
 """
 
 from __future__ import annotations
@@ -173,35 +172,3 @@ def crank_rank_tallies_by_partition(n: int) -> tuple[int, int, int, int]:
         if spec33.counts(parts):
             mex33_count += 1
     return crank_count, mex11_count, rank_count, mex33_count
-
-
-def family_stats(parts: tuple[int, ...]) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """The ones-family closed forms of one partition, read off its tuple.
-
-    parts is a core, its k parts > 1, plus w ones, and stands for the family
-    core + (1,)*j, 0 <= j <= w.  Returns w, the core's flags and the family's
-    runs for crank >= 0, mex_{1,1} counted, rank >= -1 and mex_{3,3} counted:
-    core + (1,)*j has a statistic for 1 <= j <= its run.  From the
-    definitions: a non-empty core has crank parts[0] >= 0 and mex_{1,1} = 1
-    (counted), the empty one no flags; for j >= 1 the crank #(core parts >
-    j) - j is >= 0 iff j <= k and parts[j - 1] > j, mex_{1,1} is the first
-    integer >= 2 missing, the rank parts[0] - k - j (1 - j for the empty
-    core) is >= -1 up to j = parts[0] - k + 1 (2), and mex_{3,3} is fixed.
-    """
-    w = parts.count(1)
-    k = len(parts) - w
-    present = set(parts)
-    mex11 = 2
-    while mex11 in present:
-        mex11 += 1
-    mex33 = 3
-    while mex33 in present:
-        mex33 += 3
-    mex33_ok = mex33 % 6 == 3
-    if not k:
-        return w, (0, 0, 0, 0), (0, 0, min(w, 2), w * mex33_ok)
-    j, top = 0, min(w, k)
-    while j < top and parts[j] > j + 1:
-        j += 1
-    rank_top = parts[0] - k + 1
-    return w, (1, 1, rank_top >= 0, mex33_ok), (j, w * (mex11 % 2), max(0, min(w, rank_top)), w * mex33_ok)

@@ -286,7 +286,7 @@ class TestCeilings:
         # with these two
         for module, name in [(genfun, "euler_product"), (series, "alternating_triangular"),
                              (series, "_gf2_mul"), (verify, "nonzero_indices"),
-                             (verify, "ptt_mod2_series"), (verify, "_core_tally")]:
+                             (verify, "ptt_mod2_series"), (verify, "_crank_rank_tallies")]:
             monkeypatch.setattr(module, name, no_build)
         result = run(*args, "--limit", str(series.MOD2_ORDER_CEILING + 1))
         assert result.exit_code == 2

@@ -90,8 +90,8 @@ def test_no_module_imports_a_private_name_of_another():
 @pytest.mark.parametrize(
     "root, helpers",
     [
-        # the brute-force crank/rank oracle
-        ("_crank_rank_tallies", {"_core_tally", "_family_runs"}),
+        # the crank/rank counts, from tables of partition counts
+        ("_crank_rank_tallies", {"_add_part", "_drop_part", "_add_shifted"}),
         # the identity suite's divisor sums, products and comparison, which
         # take plain coefficient lists and tuples
         ("_divisor_sums", set()),
@@ -123,3 +123,17 @@ def test_oracles_read_no_series_code(root, helpers):
     assert reached == {root} | helpers
     assert series_names >= {"ptt_mod2_series", "checked_mod2_order", "euler_pentagonal"}
     assert names & series_names == set()
+
+
+def test_verify_imports_nothing_from_partitions():
+    # the crank/rank counts list no partition, and the enumeration ceiling
+    # guards the enumerator alone
+    imported = set()
+    for node in ast.walk(ast.parse(Path(verify.__file__).read_text(), verify.__file__)):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").split(".")[-1])
+            imported |= {a.name for a in node.names if not node.module}
+        elif isinstance(node, ast.Import):
+            imported |= {a.name.split(".")[-1] for a in node.names}
+    assert "series" in imported
+    assert "partitions" not in imported

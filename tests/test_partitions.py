@@ -88,7 +88,7 @@ class TestEnumeration:
             enumerate_partitions(-1)
 
     def test_checked_weight(self):
-        # the ceiling check that enumerate_partitions and the crank/rank walk share
+        # the ceiling check enumerate_partitions makes before yielding anything
         assert [checked_weight(n) for n in (0, 1, ENUMERATION_CEILING)] == [0, 1, ENUMERATION_CEILING]
         message = f"enumeration of p(46) partitions exceeds the ceiling n <= {ENUMERATION_CEILING}"
         with pytest.raises(EnumerationLimitError, match=re.escape(message)):
@@ -190,7 +190,7 @@ class TestRankCrank:
         qualifying = [p for p in enumerate_partitions(3) if crank(p) >= 0]
         assert qualifying == [(3,), (2, 1)]
         assert len(qualifying) == p_direct(MexSpec(1, 1), 3)
-        # the per-weight route that the one-walk tallies are checked against
+        # the per-partition route that the counted tallies are checked against
         for n in range(1, 21):
             crank_count, mex11_count, _, _ = crank_rank_tallies_by_partition(n)
             assert mex11_count == p_direct(MexSpec(1, 1), n) == crank_count, n

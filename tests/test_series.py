@@ -63,6 +63,23 @@ class TestConstruction:
         with pytest.raises(TypeError):
             TruncatedSeries(coeffs, domain)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda domain: TruncatedSeries([1, 0], domain),
+            lambda domain: TruncatedSeries.one(3, domain),
+            lambda domain: euler_product(1, 1, 5, domain),
+            lambda domain: alternating_triangular(1, 5, domain),
+        ],
+        ids=["constructor", "one", "euler_product", "alternating_triangular"],
+    )
+    @pytest.mark.parametrize("domain", ["mod2", None])
+    def test_a_domain_that_is_not_a_domain_is_rejected(self, build, domain):
+        # every domain branch tests `is MOD2`, so a look-alike would otherwise
+        # build an integer series, or one whose repr fails
+        with pytest.raises(TypeError, match="domain must be a Domain"):
+            build(domain)
+
     @pytest.mark.parametrize("domain", [INTEGERS, MOD2])
     def test_ints_and_bools_build(self, domain):
         assert TruncatedSeries([1, 0, 1], domain).coeffs == (1, 0, 1)

@@ -1,6 +1,5 @@
 import pickle
 import tracemalloc
-from collections import Counter
 from functools import lru_cache
 from math import isqrt
 
@@ -8,15 +7,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mexparity import genfun, series, verify
-from mexparity.errors import EnumerationLimitError, LimitError, OrderLimitError
-from mexparity.genfun import acore_mod2_series, ptt_mod2_series
+from mexparity.errors import LimitError, OrderLimitError
+from mexparity.genfun import acore_mod2_series, ptt_mod2_series, ptt_series
 from mexparity.partitions import (
-    ENUMERATION_CEILING,
     MexSpec,
     crank,
-    enumerate_partitions,
     p_direct,
-    rank,
 )
 from mexparity.series import (
     MOD2,
@@ -51,9 +47,7 @@ from mexparity.verify import (
 )
 from oracles import (
     crank_rank_tallies_by_partition,
-    crank_unordered,
     euler_product_by_factors,
-    family_stats,
     literal_euler_product,
     partition_counts,
     pent_type_by_search,
@@ -235,6 +229,12 @@ class TestCharacterizations:
             verify_characterization("p55", 10)
 
 
+@lru_cache(maxsize=None)
+def tallies_by_partition(n):
+    # the four counts at weight n through the public crank, rank and mex
+    return crank_rank_tallies_by_partition(n)
+
+
 class TestCrankRank:
     def test_small_bound_passes(self):
         report = verify_crank_rank(14)
@@ -242,121 +242,76 @@ class TestCrankRank:
         assert report.counterexample is None
 
     def test_n1_edge(self):
-        # no partition of 1 qualifies on either side
+        # no partition of 1 qualifies on either side: (1,) has crank -1 and
+        # mex_{1,1} = 2
         assert p_direct(MexSpec(1, 1), 1) == 0
-        # the families of (1,) and (1, 1) have an empty core, which is skipped
         assert verify_crank_rank(1).passed
         assert verify_crank_rank(2).passed
 
-    def test_tallies_equal_the_per_weight_route(self):
-        reference = [None] + [crank_rank_tallies_by_partition(n) for n in range(1, 46)]
-        for bound in range(1, 31):
-            tallies = verify._crank_rank_tallies(bound)
-            assert len(tallies) == bound + 1, bound
-            assert tallies[0] == (0, 0, 0, 0)
-            assert tallies[1:] == reference[1 : bound + 1], bound
-        # the bound the CLI runs, compared at every weight
-        tallies = verify._crank_rank_tallies(ENUMERATION_CEILING)
+    @pytest.mark.parametrize("bound", range(1, verify.CRANK_RANK_CEILING + 1))
+    def test_tallies_equal_the_per_weight_route(self, bound):
+        tallies = verify._crank_rank_tallies(bound)
+        assert len(tallies) == bound + 1
         assert tallies[0] == (0, 0, 0, 0)
-        assert tallies[1:] == reference[1:]
+        assert tallies[1:] == [tallies_by_partition(n) for n in range(1, bound + 1)]
 
-    @pytest.mark.parametrize("bound", [*range(1, 31), ENUMERATION_CEILING])
-    def test_walk_matches_the_per_tuple_reference(self, bound):
-        # the running statistics of the core walk and their closed forms,
-        # key by key, against the same closed forms read off each partition
-        # of the bound: one core per partition, so p(bound) nodes
-        cores = verify._core_tally(bound)
-        triples = Counter()
-        for key, count in cores.items():
-            w = bound - key[0]
-            triples[(w, *verify._family_runs(w, key))] += count
-        assert triples == Counter(map(family_stats, enumerate_partitions(bound)))
-        nodes = sum(cores.values())
-        assert nodes == partition_counts(bound + 1)[bound]
-        if bound == ENUMERATION_CEILING:
-            assert nodes == 89134
-
-    def test_family_stats_match_the_statistics_of_each_member(self):
-        # the closed forms, against the public statistics of every real
-        # tuple core + (1,)*j that a partition of n <= 25 stands for
-        spec11, spec33 = MexSpec(1, 1), MexSpec(3, 3)
-        for n in range(1, 26):
-            for parts in enumerate_partitions(n):
-                w, flags, runs = family_stats(parts)
-                core = parts[: len(parts) - w]
-                assert 1 not in core and core + (1,) * w == parts
-                assert all(0 <= run <= w for run in runs), parts
-                if not core:
-                    assert flags == (0, 0, 0, 0)
-                for j in range(0 if core else 1, w + 1):
-                    member = core + (1,) * j
-                    assert (crank_unordered(member) >= 0) == (crank(member) >= 0)
-                    truth = (crank(member) >= 0, spec11.counts(member),
-                             rank(member) >= -1, spec33.counts(member))
-                    got = tuple(map(bool, flags)) if j == 0 else tuple(j <= run for run in runs)
-                    assert got == truth, (parts, j)
+    def test_counts_past_the_enumeration_range(self):
+        # the tables take any bound, the ceiling is verify_crank_rank's: to
+        # n = 200 both equivalences hold, and the mex columns are the
+        # coefficients of the generating functions
+        tallies = verify._crank_rank_tallies(200)
+        crank_count, mex11_count, rank_count, mex33_count = map(list, zip(*tallies))
+        assert crank_count == mex11_count
+        assert rank_count == mex33_count
+        assert mex11_count[1:] == list(ptt_series(1, 201).coeffs[1:])
+        assert mex33_count[1:] == list(ptt_series(3, 201).coeffs[1:])
 
     def test_ceiling_enforced(self):
-        # a huge bound must fail at the ceiling, before any per-weight table
+        # a huge bound must fail at the ceiling, before any table
         for bound in (46, 10**15):
-            with pytest.raises(EnumerationLimitError):
+            with pytest.raises(LimitError, match=f"crank/rank bound {bound} exceeds the ceiling 45"):
                 verify_crank_rank(bound)
 
-    def test_ceiling_is_checked_before_the_walk(self, monkeypatch):
-        # partitions owns the ceiling and its message; the walk never starts
-        monkeypatch.setattr(verify, "_core_tally", None)
-        with pytest.raises(EnumerationLimitError) as raised:
-            verify_crank_rank(ENUMERATION_CEILING + 1)
-        with pytest.raises(EnumerationLimitError) as enumerated:
-            enumerate_partitions(ENUMERATION_CEILING + 1)
-        assert str(raised.value) == str(enumerated.value)
+    def test_ceiling_is_checked_before_any_table(self, monkeypatch):
+        def no_build(bound):
+            raise AssertionError("a table was built past the ceiling")
+
+        monkeypatch.setattr(verify, "_crank_rank_tallies", no_build)
+        with pytest.raises(LimitError) as raised:
+            verify_crank_rank(verify.CRANK_RANK_CEILING + 1)
+        assert str(raised.value) == "crank/rank bound 46 exceeds the ceiling 45"
 
     @staticmethod
-    def plant(monkeypatch, stat, fails):
-        # statistic `stat` (0 crank >= 0, 2 rank >= -1) made false on each
-        # family member core + (1,)*j with fails(key, j), key the core's walk
-        # key, through the key-to-runs step the tally reads: a core's flag is
-        # cleared, and a run 1..J is cut before its first failing member
-        real = verify._family_runs
+    def plant(monkeypatch, stat, wrong):
+        # tally `stat` (0 crank >= 0, 2 rank >= -1) at weight n replaced by
+        # wrong(n, count), in what verify_crank_rank reads
+        real = verify._crank_rank_tallies
 
-        def wrong(w, key):
-            flags, runs = map(list, real(w, key))
-            if key[0] and fails(key, 0):
-                flags[stat] = 0
-            runs[stat] = next((j - 1 for j in range(1, runs[stat] + 1) if fails(key, j)), runs[stat])
-            return tuple(flags), tuple(runs)
+        def planted(bound):
+            return [t[:stat] + (wrong(n, t[stat]),) + t[stat + 1 :] for n, t in enumerate(real(bound))]
 
-        monkeypatch.setattr(verify, "_family_runs", wrong)
+        monkeypatch.setattr(verify, "_crank_rank_tallies", planted)
 
     def test_crank_side_failure_is_reported(self, monkeypatch):
         # no crank >= 0 anywhere, while p_{1,1}(1) = 0 and p_{1,1}(2) = 1
-        self.plant(monkeypatch, 0, lambda key, j: True)
+        self.plant(monkeypatch, 0, lambda n, count: 0)
         report = verify_crank_rank(10)
         assert (report.passed, report.counterexample) == (False, 2)
         assert report.detail == "crank side mismatch"
 
     def test_rank_side_failure_is_reported(self, monkeypatch):
         # no rank >= -1 anywhere, while p_{3,3}(1) = 1
-        self.plant(monkeypatch, 2, lambda key, j: True)
+        self.plant(monkeypatch, 2, lambda n, count: 0)
         report = verify_crank_rank(10)
         assert (report.passed, report.counterexample) == (False, 1)
         assert report.detail == "rank side mismatch"
 
     @pytest.mark.parametrize("planted", [(2, 2), (3, 1)])
     def test_one_failing_partition_is_reported(self, monkeypatch, planted):
-        # (2, 2) is a family's core (no ones added), (3, 1) the first member
-        # of the family of (3,); either one alone must unbalance n = 4.  The
-        # core (3,) is the only one of weight 3 and (2, 2) the only one of
-        # weight 4 with lead 2 - 2 = 0, so each has a key of its own.  The
-        # crank run of (3,) is (3, 1) alone, so cutting it fails no other
-        ones = planted.count(1)
-        core = planted[: len(planted) - ones]
-        s, lead = sum(core), core[0] - len(core)
-        cores = verify._core_tally(10)
-        keys = [key for key in cores if key[:2] == (s, lead)]
-        assert len(keys) == 1 and cores[keys[0]] == 1
-        assert verify._family_runs(10 - s, keys[0])[1][0] == 1
-        self.plant(monkeypatch, 0, lambda key, j: key == keys[0] and j == ones)
+        # a partition of 4 with crank >= 0, left out of the crank count,
+        # must unbalance n = 4 alone
+        assert crank(planted) >= 0
+        self.plant(monkeypatch, 0, lambda n, count: count - (n == sum(planted)))
         report = verify_crank_rank(10)
         assert (report.passed, report.counterexample) == (False, 4)
         assert report.detail == "crank side mismatch"
@@ -876,7 +831,7 @@ class TestMod2OrderCeiling:
             "nonzero_indices",
             "ptt_mod2_series",
             "acore_mod2_series",
-            "_core_tally",
+            "_crank_rank_tallies",
             "_divisor_sums",
             "dissection_identity_check",
         ):
@@ -940,7 +895,7 @@ class TestSuiteRunner:
         reports = run_suite("crank-rank", 5000)
         assert len(reports) == 1
         assert reports[0].passed
-        assert "45" in reports[0].range
+        assert reports[0].range == "1 <= n <= 45"
 
     def test_identity_order_is_clamped(self, monkeypatch):
         orders = []
