@@ -248,12 +248,21 @@ class TestCrankRank:
         assert verify_crank_rank(1).passed
         assert verify_crank_rank(2).passed
 
+    def test_tallies_equal_the_per_weight_route(self):
+        # the table the CLI reads, compared at every weight with enumeration
+        tallies = verify._crank_rank_tallies(verify.CRANK_RANK_CEILING)
+        assert tallies[0] == (0, 0, 0, 0)
+        for n in range(1, verify.CRANK_RANK_CEILING + 1):
+            assert tallies[n] == tallies_by_partition(n), n
+
     @pytest.mark.parametrize("bound", range(1, verify.CRANK_RANK_CEILING + 1))
-    def test_tallies_equal_the_per_weight_route(self, bound):
+    def test_tallies_to_each_bound_are_the_ceiling_rows(self, bound):
+        # a smaller bound builds the same rows, none more and none cut short
+        # at the end, so each row equals the per-weight route above
         tallies = verify._crank_rank_tallies(bound)
         assert len(tallies) == bound + 1
-        assert tallies[0] == (0, 0, 0, 0)
-        assert tallies[1:] == [tallies_by_partition(n) for n in range(1, bound + 1)]
+        assert tallies == verify._crank_rank_tallies(verify.CRANK_RANK_CEILING)[: bound + 1]
+        assert tallies[bound] == tallies_by_partition(bound)
 
     def test_counts_past_the_enumeration_range(self):
         # the tables take any bound, the ceiling is verify_crank_rank's: to
