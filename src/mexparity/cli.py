@@ -190,7 +190,7 @@ def main(argv: list[str] | None = None) -> None:
         sys.exit(1)
 
 
-# the click group's call form, which perfbench/tracer.py uses in-process
+# the call form perfbench/tracer.py uses to run the CLI in-process
 main.main = lambda args=None, **_: main(args)
 
 

@@ -12,8 +12,8 @@ each successor lowers the core's last part by one and refills with as
 many copies as the freed weight allows.  It is deliberately capped (see
 ENUMERATION_CEILING): p(45) is 89,134 partitions, made in 0.03 s, but
 the count grows subexponentially and silently accepting much larger
-weights would hang the caller: past the ceiling checked_weight raises
-EnumerationLimitError before anything is enumerated.
+weights would hang the caller: past the ceiling enumerate_partitions
+raises EnumerationLimitError before anything is enumerated.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .errors import EnumerationLimitError
 __all__ = [
     "ENUMERATION_CEILING",
     "MexSpec",
-    "checked_weight",
     "enumerate_partitions",
     "mex",
     "p_direct",
@@ -90,16 +89,9 @@ def enumerate_partitions(n: int) -> Iterator[tuple[int, ...]]:
 
     Order: decreasing-first-part lexicographic, e.g. for n = 4:
     (4), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1).  n = 0 yields only the
-    empty partition.
-    """
-    return _descending_partitions(checked_weight(n))
-
-
-def checked_weight(n: int) -> int:
-    """n itself, once the partitions of n may be enumerated.
-
-    A negative n is a ValueError, and one past ENUMERATION_CEILING an
-    EnumerationLimitError, raised before anything of its size is built.
+    empty partition.  A negative n is a ValueError, and one past
+    ENUMERATION_CEILING an EnumerationLimitError, raised at the call,
+    before any generator exists.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -107,7 +99,7 @@ def checked_weight(n: int) -> int:
         raise EnumerationLimitError(
             f"enumeration of p({n}) partitions exceeds the ceiling n <= {ENUMERATION_CEILING}"
         )
-    return n
+    return _descending_partitions(n)
 
 
 def _descending_partitions(n: int) -> Iterator[tuple[int, ...]]:

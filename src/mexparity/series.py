@@ -98,21 +98,14 @@ class TruncatedSeries:
     domain: Domain
 
     def __new__(cls, coeffs: Iterable[int], domain: Domain = INTEGERS):
-        # index() takes ints and bools only: a float or a str is a TypeError,
-        # and so is a domain that is not a Domain, which every `is MOD2`
-        # branch would read as the integers
-        if not isinstance(domain, Domain):
-            raise TypeError(f"domain must be a Domain, got {domain!r}")
+        # index() takes ints and bools only: a float or a str is a TypeError;
+        # _from_terms checks the domain and the order, as for every series
         data = tuple(map(index, coeffs))
-        if not data:
-            raise ValueError("a series needs order >= 1 (at least the q^0 coefficient)")
-        order = len(data)
         if domain is MOD2:
             for i, c in enumerate(data):
                 if c not in (0, 1):
                     raise ValueError(f"Mod2 coefficients must be 0 or 1, got {c} at q^{i}")
-            data = _bits_of((i for i, c in enumerate(data) if c), order)
-        return cls._make(data, order, domain)
+        return _from_terms(((i, c) for i, c in enumerate(data) if c), len(data), domain)
 
     def __setattr__(self, name, *value):
         raise AttributeError(f"TruncatedSeries is immutable: cannot set or delete {name!r}")
@@ -334,7 +327,8 @@ def _from_terms(
 ) -> TruncatedSeries:
     # the series with the given (exponent, coefficient) terms; exponents must
     # increase, and the first one at or past `order` ends the (possibly
-    # infinite) stream
+    # infinite) stream.  Every series is checked and laid out here: a domain
+    # that is not a Domain would pass every `is MOD2` branch as the integers
     if order < 1:
         raise ValueError("order must be >= 1")
     if not isinstance(domain, Domain):
@@ -378,8 +372,7 @@ def reduce_mod2(s: TruncatedSeries) -> TruncatedSeries:
     """Reduce an integer series coefficientwise modulo 2."""
     if s.domain is not INTEGERS:
         raise ValueError("reduce_mod2 expects an Integers-domain series")
-    bits = _bits_of((i for i, c in enumerate(s._data) if c & 1), s.order)
-    return TruncatedSeries._make(bits, s.order, MOD2)
+    return _from_terms(enumerate(s._data), s.order, MOD2)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ trivial reasons and the parity statements all start at n = 1.
 
 from __future__ import annotations
 
-from itertools import accumulate, zip_longest
+from itertools import accumulate, takewhile, zip_longest
 from math import isqrt
 from typing import Iterable, NamedTuple
 
@@ -401,14 +401,16 @@ def verify_power4_families(max_m: int, bound: int) -> VerificationReport:
 
     For each 0 <= m <= max_m the progressions 4^(m+1) n + (7*4^m - 1)/3,
     4^(m+1) n + (10*4^m - 1)/3 and 2*4^(m+1) n + (13*4^m - 1)/3 must have
-    even coefficients at every index below the bound.
+    even coefficients at every index below the bound.  The families stop
+    at the first m whose smallest residue, (7*4^m - 1)/3, is >= bound:
+    from there on no family has an index below it.
     """
     if max_m < 0:
         raise ValueError("max_m must be >= 0")
     digits = ptt_mod2_series(3, _checked_bound(bound)).digits
     families = (
         (digits, modulus, ((k * 4**m - 1) // 3,), f" (m={m})")
-        for m in range(max_m + 1)
+        for m in takewhile(lambda m: (7 * 4**m - 1) // 3 < bound, range(max_m + 1))
         for modulus, k in ((4 ** (m + 1), 7), (4 ** (m + 1), 10), (2 * 4 ** (m + 1), 13))
     )
     return _sweep("p33-power4-families", f"0 <= m <= {max_m}, indices < {bound}", families)

@@ -69,6 +69,28 @@ def test_the_mod2_ceiling_is_compared_in_one_function():
     assert len(ceiling_compares(owner)) == 1
 
 
+def test_series_are_checked_and_laid_out_in_one_function():
+    # the domain check is made once, in _from_terms, which the constructor,
+    # reduce_mod2 and every named series build through
+    tree = ast.parse(Path(series.__file__).read_text())
+    functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+
+    def domain_checks(node):
+        return [
+            n
+            for n in ast.walk(node)
+            if isinstance(n, ast.Call)
+            and getattr(n.func, "id", None) == "isinstance"
+            and getattr(n.args[1], "id", None) == "Domain"
+        ]
+
+    assert len(domain_checks(tree)) == len(domain_checks(functions["_from_terms"])) == 1
+    for name in ("__new__", "reduce_mod2"):
+        names = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(functions[name])}
+        assert names & {"_bits_of", "_make"} == set(), name
+        assert "_from_terms" in names, name
+
+
 def test_no_module_imports_a_private_name_of_another():
     # a private name stays in its module: no `from .x import _y`, and no
     # `x._y` on a package module imported as `from . import x`

@@ -11,7 +11,6 @@ from mexparity.partitions import (
     ENUMERATION_CEILING,
     MexSpec,
     a_t_direct,
-    checked_weight,
     conjugate,
     crank,
     enumerate_partitions,
@@ -79,22 +78,15 @@ class TestEnumeration:
             seen.add(parts)
 
     def test_ceiling(self):
-        with pytest.raises(EnumerationLimitError):
+        # the call itself raises, before any generator exists
+        message = f"enumeration of p(46) partitions exceeds the ceiling n <= {ENUMERATION_CEILING}"
+        with pytest.raises(EnumerationLimitError, match=re.escape(message)):
             enumerate_partitions(ENUMERATION_CEILING + 1)
         assert issubclass(EnumerationLimitError, LimitError)
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n must be non-negative"):
             enumerate_partitions(-1)
-
-    def test_checked_weight(self):
-        # the ceiling check enumerate_partitions makes before yielding anything
-        assert [checked_weight(n) for n in (0, 1, ENUMERATION_CEILING)] == [0, 1, ENUMERATION_CEILING]
-        message = f"enumeration of p(46) partitions exceeds the ceiling n <= {ENUMERATION_CEILING}"
-        with pytest.raises(EnumerationLimitError, match=re.escape(message)):
-            checked_weight(ENUMERATION_CEILING + 1)
-        with pytest.raises(ValueError):
-            checked_weight(-1)
 
 
 class TestMex:

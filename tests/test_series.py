@@ -49,7 +49,7 @@ class TestConstruction:
         assert s.coeffs == (1, 2, 3)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="order must be >= 1"):
             TruncatedSeries([])
 
     def test_mod2_coefficients_validated(self):
@@ -379,6 +379,12 @@ class TestMod2OrderCeiling:
     def test_sparse_constructors_raise_before_building(self, no_build, make):
         with pytest.raises(OrderLimitError, match="ceiling 100000000"):
             make(MOD2_ORDER_CEILING + 1)
+
+    def test_the_constructor_checks_the_ceiling(self, monkeypatch):
+        monkeypatch.setattr(series, "MOD2_ORDER_CEILING", 4)
+        with pytest.raises(OrderLimitError, match="exceeds the ceiling 4"):
+            TruncatedSeries([1, 0, 0, 0, 1], MOD2)
+        assert TruncatedSeries([1, 0, 0, 1], MOD2).digits == "1001"
 
     def test_the_ceiling_itself_is_accepted(self):
         assert TruncatedSeries.zero(MOD2_ORDER_CEILING, MOD2).order == MOD2_ORDER_CEILING

@@ -485,6 +485,22 @@ class TestSweepContract:
             tracemalloc.stop()
         assert peak < 1_000_000
 
+    @pytest.mark.parametrize("max_m, bound, built", [(50, 1000, 15), (DEFAULT_POWER4_MAX_M, 10**5, 21)])
+    def test_power4_families_stop_at_the_bound(self, monkeypatch, max_m, bound, built):
+        # the m <= 4 families have an index below 1000, (7 * 4^5 - 1) / 3 =
+        # 2389 does not; building all 3 * (max_m + 1) is quadratic in max_m
+        sweep, received = verify._sweep, []
+
+        def counting(theorem_id, rng, families):
+            families = list(families)
+            received.extend(families)
+            return sweep(theorem_id, rng, families)
+
+        monkeypatch.setattr(verify, "_sweep", counting)
+        report = verify_power4_families(max_m, bound)
+        assert report.passed and report.range == f"0 <= m <= {max_m}, indices < {bound}"
+        assert len(received) == built
+
     def test_theorem6_reports_first_counterexample(self, monkeypatch):
         # t = 5 lists residues (2, 6) mod 10: 12 = 10 + 2 comes first in the
         # list, 6 = 0 + 6 is the first counterexample
