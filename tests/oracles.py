@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own algorithms: partition counts
 come from the classic coin-style dynamic program, products from naive
-schoolbook convolution, and the pentagonal predicate from an explicit
+schoolbook convolution, quotients from a coefficient-at-a-time
+back-substitution, and the pentagonal predicate from an explicit
 search over k.  The Euler product is multiplied out one binomial
 factor at a time, independently of the pentagonal form the library uses
 and of the logarithmic derivative the identity suite rebuilds it from,
@@ -46,6 +47,23 @@ def schoolbook_mul(a, b, order):
                 break
             out[i + j] += av * bv
     return out
+
+
+def back_substitution(num, den, order):
+    """num / den through q^(order-1), one coefficient at a time, for den
+    with constant term +-1: r[n] = (num[n] - sum_{k>=1} den[k] r[n-k]) / den[0]
+    over the nonzero terms of den.  The library substitutes in blocks."""
+    c0 = den[0]
+    nz = [(k, v) for k, v in enumerate(den[:order]) if v and k >= 1]
+    r = [0] * order
+    for n in range(order):
+        s = num[n]
+        for k, v in nz:
+            if k > n:
+                break
+            s -= v * r[n - k]
+        r[n] = s if c0 == 1 else -s
+    return r
 
 
 def euler_product_by_factors(step: int, order: int) -> list[int]:

@@ -14,7 +14,16 @@ from mexparity.genfun import (
     ptt_series,
 )
 from mexparity.partitions import MexSpec, a_t_direct, p_direct
-from mexparity.series import MOD2, MOD2_ORDER_CEILING, TruncatedSeries, partition_parity, reduce_mod2
+from mexparity.series import (
+    MOD2,
+    MOD2_ORDER_CEILING,
+    TruncatedSeries,
+    alternating_triangular,
+    euler_product,
+    partition_parity,
+    reduce_mod2,
+    series_mul,
+)
 from mexparity.verify import verify_dissection_identities
 from oracles import product_form, product_form_mod2
 
@@ -67,6 +76,12 @@ class TestIntOrderCeiling:
         s = ptt_series(3, INT_ORDER_CEILING)
         assert s.order == INT_ORDER_CEILING
         assert s.coeffs[:6] == (1, 1, 2, 2, 4, 5)
+
+    @pytest.mark.parametrize("t", [1, 3])
+    def test_times_euler_at_the_ceiling_gives_the_numerator(self, t):
+        # the product kernel shares no code with the quotient kernel
+        n = INT_ORDER_CEILING
+        assert series_mul(ptt_series(t, n), euler_product(1, 1, n)) == alternating_triangular(t, n)
 
     def test_tcore_at_the_ceiling_agrees_with_mod2_route(self):
         assert reduce_mod2(acore_series(2, INT_ORDER_CEILING)) == acore_mod2_series(2, INT_ORDER_CEILING)

@@ -27,6 +27,7 @@ from mexparity.series import (
     theta_psi,
 )
 from oracles import (
+    back_substitution,
     euler_product_by_factors,
     gf2_newton_recip,
     gf2_schoolbook_mul,
@@ -251,6 +252,25 @@ class TestDiv:
         den = [unit] + tail
         got = series_div(TruncatedSeries(num), TruncatedSeries(den))
         assert schoolbook_mul(got.coeffs, den, order) == num
+
+    @given(st.data(), st.integers(1, 4 * series._BLOCK + 3), st.sampled_from([1, -1]))
+    def test_blocks_match_the_reference(self, data, order, unit):
+        # sparse divisors with terms at the block edges and strictly inside a
+        # later block, where a far term overlaps the block being solved in part
+        b = series._BLOCK
+        edges = [b - 1, b, b + 1] + [j * b + i for j in (1, 2, 3) for i in (1, b // 2, b - 1)]
+        exponent = st.one_of(st.sampled_from(edges), st.integers(1, 4 * b + 2))
+        exponents = data.draw(st.sets(exponent, max_size=12))
+        den = [unit] + [0] * (4 * b + 2)
+        for k in exponents:
+            den[k] = data.draw(st.integers(-5, 5).filter(bool))
+        num = data.draw(st.lists(st.integers(-99, 99), min_size=order, max_size=order))
+        got = series_div(TruncatedSeries(num), TruncatedSeries(den))
+        assert got.coeffs == tuple(back_substitution(num, den, order))
+
+    @pytest.mark.parametrize("order", [63, 64, 65, 129, 700])
+    def test_recip_of_euler_is_partition_counts(self, order):
+        assert series_recip(euler_product(1, 1, order)).coeffs == tuple(partition_counts(order))
 
 
 class TestEulerProduct:
