@@ -3,15 +3,16 @@
 The central object is the weight generating function of the partition
 counts defined by the mex statistic with A = a = t (t odd): the
 alternating triangular sum at step t divided by the Euler product
-(q;q)_inf.  The t-core counting series is (q^t;q^t)_inf^t / (q;q)_inf;
-over the integers both are one series_div by the pentagonal-sparse
-(q;q), a back-substitution over its pentagonal terms in blocks of
-coefficients.  Over GF(2) both multiply R = 1/(q;q)_inf, the memoized
-series.partition_parity: by psi(q^t), which the alternating sum is mod 2
-(Jacobi), or by one sparse (q^(t*2^i);q^(t*2^i)) per set bit i of t,
-since squaring is a dilation.  The 2t-dissection identity is checked as
-one product per t (multiplying by a series in q^(2t) commutes with
-2t-slices), sliced from one digit string per side.
+(q;q)_inf.  Over the integers it is one series_div by the
+pentagonal-sparse (q;q), a back-substitution over its pentagonal terms
+in blocks of coefficients.  The t-core counting series
+(q^t;q^t)_inf^t / (q;q)_inf is built over GF(2) only, since every check
+of it is a parity check.  Over GF(2) both multiply R = 1/(q;q)_inf, the
+memoized series.partition_parity: by psi(q^t), which the alternating sum
+is mod 2 (Jacobi), or by one sparse (q^(t*2^i);q^(t*2^i)) per set bit i
+of t, since squaring is a dilation.  The 2t-dissection identity is
+checked as one product per t (multiplying by a series in q^(2t) commutes
+with 2t-slices), sliced from one digit string per side.
 """
 
 from __future__ import annotations
@@ -33,15 +34,13 @@ __all__ = [
     "INT_ORDER_CEILING",
     "ptt_series",
     "ptt_mod2_series",
-    "acore_series",
     "acore_mod2_series",
     "dissection_identity_check",
 ]
 
 
-# largest order ptt_series and acore_series accept: their cost grows as about
-# order^1.5, about 50 ms for ptt_series(3, 10^4) and 25-75 ms for
-# acore_series(t, 10^4) with t = 2..23 (2-vCPU VM, Python 3.11.7), so a
+# largest order ptt_series accepts: its cost grows as about order^1.5,
+# about 50 ms for ptt_series(3, 10^4) (2-vCPU VM, Python 3.11.7), so a
 # library call at order 10^6 would run for minutes
 INT_ORDER_CEILING = 10**4
 
@@ -49,14 +48,6 @@ INT_ORDER_CEILING = 10**4
 def _require_odd_t(t: int) -> None:
     if t < 1 or t % 2 == 0:
         raise ValueError(f"t must be an odd positive integer, got {t}")
-
-
-def _require_int_order(order: int) -> None:
-    if order > INT_ORDER_CEILING:
-        raise OrderLimitError(
-            f"integer series order {order} exceeds the ceiling {INT_ORDER_CEILING}; "
-            "use the mod-2 series for larger orders"
-        )
 
 
 def ptt_series(t: int, order: int) -> TruncatedSeries:
@@ -70,7 +61,11 @@ def ptt_series(t: int, order: int) -> TruncatedSeries:
     OrderLimitError.
     """
     _require_odd_t(t)
-    _require_int_order(order)
+    if order > INT_ORDER_CEILING:
+        raise OrderLimitError(
+            f"integer series order {order} exceeds the ceiling {INT_ORDER_CEILING}; "
+            "use the mod-2 series for larger orders"
+        )
     return series_div(alternating_triangular(t, order), euler_product(1, 1, order))
 
 
@@ -85,19 +80,6 @@ def ptt_mod2_series(t: int, order: int) -> TruncatedSeries:
     OrderLimitError before anything is built."""
     _require_odd_t(t)
     return series_mul(partition_parity(order), alternating_triangular(t, order, MOD2))
-
-
-def acore_series(t: int, order: int) -> TruncatedSeries:
-    """Integer series counting t-core partitions: (q^t;q^t)^t / (q;q).
-
-    One series_div of the sparse-built numerator by (q;q): a
-    back-substitution over its pentagonal terms, solved in blocks of
-    coefficients.  An order above INT_ORDER_CEILING raises OrderLimitError.
-    """
-    if t < 2:
-        raise ValueError("t must be at least 2")
-    _require_int_order(order)
-    return series_div(euler_product(t, t, order), euler_product(1, 1, order))
 
 
 def _times_euler_power_mod2(s: TruncatedSeries, step: int, power: int) -> TruncatedSeries:

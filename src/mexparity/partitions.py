@@ -2,7 +2,9 @@
 
 Everything here works by direct combinatorics on explicit partitions, with
 no generating functions involved, so these routines double as independent
-oracles for the series pipeline.  A partition is represented as a tuple of
+oracles for the series pipeline.  The t-core count by hook lengths, the
+oracle of the t-core parity series, is kept with the other test oracles
+in tests/oracles.py.  A partition is represented as a tuple of
 weakly decreasing positive parts; the empty tuple is the unique partition
 of 0.
 
@@ -31,9 +33,6 @@ __all__ = [
     "p_direct",
     "rank",
     "crank",
-    "conjugate",
-    "hook_lengths",
-    "a_t_direct",
 ]
 
 ENUMERATION_CEILING = 45
@@ -168,37 +167,3 @@ def crank(parts: Sequence[int]) -> int:
             break
         bigger += 1
     return bigger - ones
-
-
-def conjugate(parts: Sequence[int]) -> tuple[int, ...]:
-    """Transpose of the Young diagram (columns become rows)."""
-    if not parts:
-        return ()
-    return tuple(sum(1 for p in parts if p > j) for j in range(parts[0]))
-
-
-def hook_lengths(parts: Sequence[int]) -> tuple[int, ...]:
-    """Multiset of hook lengths of the Young diagram, sorted descending.
-
-    The hook of cell (i, j) covers the cell itself, the arm to its right
-    and the leg below it: (parts[i] - j) + (conj[j] - i) - 1.  The empty
-    diagram has no cells, so it has no hooks.
-    """
-    conj = conjugate(parts)
-    hooks = [
-        (row - j) + (conj[j] - i) - 1
-        for i, row in enumerate(parts)
-        for j in range(row)
-    ]
-    hooks.sort(reverse=True)
-    return tuple(hooks)
-
-
-def a_t_direct(t: int, n: int) -> int:
-    """Count t-core partitions of n: no hook length divisible by t.
-
-    The empty partition has no hooks, so a_t_direct(t, 0) = 1.
-    """
-    if t < 2:
-        raise ValueError("t must be at least 2")
-    return sum(all(h % t for h in hook_lengths(p)) for p in enumerate_partitions(n))

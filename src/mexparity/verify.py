@@ -43,8 +43,6 @@ __all__ = [
     "SUITES",
     "VerificationReport",
     "CongruenceClaim",
-    "is_pent_type",
-    "is_square_3n1",
     "legendre_nonresidue",
     "qnr_residues",
     "verify_characterization",
@@ -169,28 +167,6 @@ class CongruenceClaim(_Claim):
 # ---------------------------------------------------------------------------
 # predicates
 # ---------------------------------------------------------------------------
-
-
-def is_pent_type(n: int) -> bool:
-    """True iff n = k(3k+1) or k(3k-1) for some k >= 1.
-
-    Equivalent to 12n+1 being a perfect square: the root of 12n+1 is
-    forced to be +-1 mod 6, so no separate congruence check is needed.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    v = 12 * n + 1
-    r = isqrt(v)
-    return r * r == v
-
-
-def is_square_3n1(n: int) -> bool:
-    """True iff 3n+1 is a perfect square."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    v = 3 * n + 1
-    r = isqrt(v)
-    return r * r == v
 
 
 def legendre_nonresidue(x: int, p: int) -> bool:
@@ -386,10 +362,12 @@ def verify_qnr_families(which: str, primes: tuple[int, ...], bound: int) -> Veri
     """Quadratic non-residue progressions have all-even counts.
 
     For each prime p and each residue r picked out by qnr_residues, every
-    index pn + r below the bound must carry an even coefficient.
+    index pn + r below the bound must carry an even coefficient.  An empty
+    or repeated list of primes is a ValueError: each prime is one family,
+    checked and reported once.
     """
-    if not primes:
-        raise ValueError("primes must be non-empty so that some family is checked")
+    if not primes or len(set(primes)) < len(primes):
+        raise ValueError(f"primes must be non-empty and distinct, got {primes}")
     digits = ptt_mod2_series(_characterization(which)[0], _checked_bound(bound)).digits
     families = ((digits, p, qnr_residues(which, p), "") for p in sorted(primes))
     rng = f"p in {sorted(primes)}, indices < {bound}"
@@ -502,9 +480,9 @@ def verify_series_identities(order: int) -> list[VerificationReport]:
 def verify_dissection_identities(ts: tuple[int, ...], order: int) -> VerificationReport:
     """Run dissection_identity_check once per t in ts, t ascending; a
     failure names the smallest failing residue r < 2t of the first
-    failing t."""
-    if not ts:
-        raise ValueError("ts must be non-empty so that some residue class is checked")
+    failing t.  An empty or repeated ts is a ValueError."""
+    if not ts or len(set(ts)) < len(ts):
+        raise ValueError(f"ts must be non-empty and distinct, got {ts}")
     rng = f"t in {sorted(ts)}, r < 2t, order {order}"
     for t in sorted(ts):
         failing = dissection_identity_check(t, order)

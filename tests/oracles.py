@@ -3,8 +3,9 @@
 These deliberately avoid the library's own algorithms: partition counts
 come from the classic coin-style dynamic program, products from naive
 schoolbook convolution, quotients from a coefficient-at-a-time
-back-substitution, and the pentagonal predicate from an explicit
-search over k.  The Euler product is multiplied out one binomial
+back-substitution, the two characterizations' predicates from explicit
+searches over k, and t-core counts from the hook lengths of every
+partition.  The Euler product is multiplied out one binomial
 factor at a time, independently of the pentagonal form the library uses
 and of the logarithmic derivative the identity suite rebuilds it from,
 and 1/(q;q) mod 2 is a Newton reciprocal, where the library uses the
@@ -139,6 +140,43 @@ def pent_type_by_search(n: int) -> bool:
             return True
         k += 1
     return False
+
+
+def square_3n1_by_search(n: int) -> bool:
+    """3n+1 == k^2 for some k >= 2, by direct search."""
+    k = 2
+    while k * k < 3 * n + 1:
+        k += 1
+    return k * k == 3 * n + 1
+
+
+def conjugate(parts) -> tuple[int, ...]:
+    """Transpose of the Young diagram (columns become rows)."""
+    if not parts:
+        return ()
+    return tuple(sum(1 for p in parts if p > j) for j in range(parts[0]))
+
+
+def hook_lengths(parts) -> tuple[int, ...]:
+    """Multiset of hook lengths of the Young diagram, sorted descending.
+
+    The hook of cell (i, j) covers the cell itself, the arm to its right
+    and the leg below it: (parts[i] - j) + (conj[j] - i) - 1.  The empty
+    diagram has no cells, so it has no hooks.
+    """
+    conj = conjugate(parts)
+    hooks = [(row - j) + (conj[j] - i) - 1 for i, row in enumerate(parts) for j in range(row)]
+    return tuple(sorted(hooks, reverse=True))
+
+
+def a_t_direct(t: int, n: int) -> int:
+    """Count t-core partitions of n: no hook length divisible by t.
+
+    The empty partition has no hooks, so a_t_direct(t, 0) = 1.
+    """
+    if t < 2:
+        raise ValueError("t must be at least 2")
+    return sum(all(h % t for h in hook_lengths(p)) for p in enumerate_partitions(n))
 
 
 def smallest_missing_in_progression(parts, a: int, step: int) -> int:

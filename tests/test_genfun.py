@@ -8,12 +8,11 @@ from mexparity.errors import LimitError, OrderLimitError
 from mexparity.genfun import (
     INT_ORDER_CEILING,
     acore_mod2_series,
-    acore_series,
     dissection_identity_check,
     ptt_mod2_series,
     ptt_series,
 )
-from mexparity.partitions import MexSpec, a_t_direct, p_direct
+from mexparity.partitions import MexSpec, p_direct
 from mexparity.series import (
     MOD2,
     MOD2_ORDER_CEILING,
@@ -21,11 +20,11 @@ from mexparity.series import (
     alternating_triangular,
     euler_product,
     partition_parity,
-    reduce_mod2,
+    series_div,
     series_mul,
 )
 from mexparity.verify import verify_dissection_identities
-from oracles import product_form, product_form_mod2
+from oracles import a_t_direct, product_form, product_form_mod2
 
 
 class TestPttSeries:
@@ -63,7 +62,7 @@ class TestIntOrderCeiling:
         assert issubclass(OrderLimitError, LimitError)
         assert issubclass(LimitError, ValueError)
 
-    @pytest.mark.parametrize("make, t", [(ptt_series, 3), (acore_series, 5)])
+    @pytest.mark.parametrize("make, t", [(ptt_series, 3)])
     def test_past_the_ceiling_raises_before_building(self, monkeypatch, make, t):
         def no_build(*args):
             raise AssertionError("a series was built past the ceiling")
@@ -84,7 +83,10 @@ class TestIntOrderCeiling:
         assert series_mul(ptt_series(t, n), euler_product(1, 1, n)) == alternating_triangular(t, n)
 
     def test_tcore_at_the_ceiling_agrees_with_mod2_route(self):
-        assert reduce_mod2(acore_series(2, INT_ORDER_CEILING)) == acore_mod2_series(2, INT_ORDER_CEILING)
+        # the integer t-core quotient (q^2;q^2)^2 / (q;q), reduced mod 2
+        n = INT_ORDER_CEILING
+        quotient = series_div(euler_product(2, 2, n), euler_product(1, 1, n))
+        assert tuple(c % 2 for c in quotient.coeffs) == acore_mod2_series(2, n).coeffs
 
 
 class TestMod2OrderCeiling:
@@ -139,7 +141,7 @@ class TestPttMod2Series:
 
     @pytest.mark.parametrize("t", [1, 3, 5, 7])
     def test_agrees_with_integer_route(self, t):
-        assert reduce_mod2(ptt_series(t, 2000)) == ptt_mod2_series(t, 2000)
+        assert tuple(c % 2 for c in ptt_series(t, 2000).coeffs) == ptt_mod2_series(t, 2000).coeffs
 
 
 class TestMod2ProductForms:
@@ -156,40 +158,44 @@ class TestMod2ProductForms:
 
 
 class TestAcoreSeries:
+    # the t-core counts are built mod 2 only; the integer counts they reduce
+    # are the hook-length oracle and the literal product (q^t;q^t)^t / (q;q)
     @given(st.integers(2, 25), st.integers(1, 300))
     def test_matches_power_product(self, t, order):
-        # (q^t;q^t)^t / (q;q) multiplied out literally, over the integers
-        assert list(acore_series(t, order).coeffs) == product_form(t, t, order)
+        # the t-core quotient, one series_div of the sparse-built numerator,
+        # against the product multiplied out literally, over the integers
+        quotient = series_div(euler_product(t, t, order), euler_product(1, 1, order))
+        assert list(quotient.coeffs) == product_form(t, t, order)
 
     def test_t3_prefix(self):
-        assert acore_series(3, 4).coeffs == (1, 1, 2, 0)
+        # the 3-core counts 1, 1, 2, 0
+        assert acore_mod2_series(3, 4).coeffs == (1, 1, 0, 0)
 
     def test_t5_prefix_counts_all_partitions(self):
-        assert acore_series(5, 5).coeffs == (1, 1, 2, 3, 5)
+        # below 5 every partition is a 5-core: 1, 1, 2, 3, 5
+        assert acore_mod2_series(5, 5).coeffs == (1, 1, 0, 1, 1)
 
     def test_t_below_two_rejected(self):
-        with pytest.raises(ValueError):
-            acore_series(1, 5)
         with pytest.raises(ValueError):
             acore_mod2_series(1, 5)
 
     @pytest.mark.parametrize("t", [3, 5, 7])
     def test_matches_hook_length_oracle(self, t):
-        series = acore_series(t, 16)
+        series = acore_mod2_series(t, 16)
         for n in range(16):
-            assert series.coeff(n) == a_t_direct(t, n)
+            assert series.coeff(n) == a_t_direct(t, n) % 2
 
     def test_even_t_supported(self):
-        series = acore_series(2, 12)
+        series = acore_mod2_series(2, 12)
         for n in range(12):
-            assert series.coeff(n) == a_t_direct(2, n)
+            assert series.coeff(n) == a_t_direct(2, n) % 2
 
     @pytest.mark.parametrize("t", [3, 5, 7, 11])
     def test_mod2_route_agrees(self, t):
-        assert reduce_mod2(acore_series(t, 400)) == acore_mod2_series(t, 400)
+        assert list(acore_mod2_series(t, 400).coeffs) == product_form_mod2(t, t, 400)
 
     def test_t3_parity_equals_mex_parity(self):
-        assert reduce_mod2(ptt_series(3, 300)) == reduce_mod2(acore_series(3, 300))
+        assert ptt_mod2_series(3, 300) == acore_mod2_series(3, 300)
 
 
 class TestDissectionIdentity:

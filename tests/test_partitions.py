@@ -10,18 +10,18 @@ from mexparity.errors import EnumerationLimitError, LimitError
 from mexparity.partitions import (
     ENUMERATION_CEILING,
     MexSpec,
-    a_t_direct,
-    conjugate,
     crank,
     enumerate_partitions,
-    hook_lengths,
     mex,
     p_direct,
     rank,
 )
 from oracles import (
+    a_t_direct,
+    conjugate,
     crank_rank_tallies_by_partition,
     crank_unordered,
+    hook_lengths,
     partition_counts,
     partitions_descending_reference,
     smallest_missing_in_progression,

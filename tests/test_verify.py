@@ -29,8 +29,6 @@ from mexparity.verify import (
     SUITES,
     THEOREM6_RESIDUES,
     VerificationReport,
-    is_pent_type,
-    is_square_3n1,
     legendre_nonresidue,
     qnr_residues,
     run_suite,
@@ -53,6 +51,7 @@ from oracles import (
     pent_type_by_search,
     product_form,
     schoolbook_mul,
+    square_3n1_by_search,
 )
 
 CHECKERS = {
@@ -110,27 +109,24 @@ def catalog_families():
 
 
 class TestPredicates:
+    # the characterizations' predicates, read off the parity series: the
+    # coefficient of q^n is odd iff n is of pentagonal type (t = 1) or 3n+1
+    # is a square (t = 3)
     def test_pent_type_examples(self):
-        assert is_pent_type(2)
-        assert not is_pent_type(1)
-        assert is_pent_type(70)  # 12*70 + 1 = 29^2
-
-    def test_pent_type_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            is_pent_type(0)
+        s = ptt_mod2_series(1, 71)
+        assert s.coeff(2) == 1
+        assert s.coeff(1) == 0
+        assert s.coeff(70) == 1  # 12*70 + 1 = 29^2
 
     @given(st.integers(1, 3000))
     def test_pent_type_matches_search(self, n):
-        assert is_pent_type(n) == pent_type_by_search(n)
+        assert ptt_mod2_series(1, 3001).coeff(n) == pent_type_by_search(n)
 
     def test_square_3n1_examples(self):
-        assert is_square_3n1(5)
-        assert not is_square_3n1(2)
-        assert is_square_3n1(16)
-
-    def test_square_3n1_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            is_square_3n1(0)
+        s = ptt_mod2_series(3, 17)
+        assert s.coeff(5) == 1
+        assert s.coeff(2) == 0
+        assert s.coeff(16) == 1  # 3*16 + 1 = 7^2
 
 
 class TestLegendre:
@@ -221,8 +217,8 @@ class TestCharacterizations:
 
     def test_predicates_match_enumeration_parity(self):
         for n in range(1, 36):
-            assert p_direct(MexSpec(1, 1), n) % 2 == (1 if is_pent_type(n) else 0)
-            assert p_direct(MexSpec(3, 3), n) % 2 == (1 if is_square_3n1(n) else 0)
+            assert p_direct(MexSpec(1, 1), n) % 2 == pent_type_by_search(n)
+            assert p_direct(MexSpec(3, 3), n) % 2 == square_3n1_by_search(n)
 
     def test_unknown_selector(self):
         with pytest.raises(ValueError):
@@ -524,6 +520,18 @@ class TestSweepContract:
             with pytest.raises(ValueError):
                 verify_qnr_families(which, (), 1000)
 
+    def test_qnr_with_a_repeated_prime_is_rejected(self, monkeypatch):
+        # a repeated prime would be checked, and named in the range, twice
+        def no_build(t, order):
+            raise AssertionError("a series was built for a repeated family")
+
+        monkeypatch.setattr(verify, "ptt_mod2_series", no_build)
+        for which in ("p11", "p33"):
+            with pytest.raises(ValueError, match="distinct"):
+                verify_qnr_families(which, (5, 5), 100)
+            with pytest.raises(ValueError, match="distinct"):
+                verify_qnr_families(which, (7, 5, 7), 100)
+
     @given(st.data(), st.integers(1, 600))
     def test_first_odd_is_the_smallest_odd_index_in_the_classes(self, data, order):
         # _sweep over one family against an oracle that reads coefficient by
@@ -545,6 +553,16 @@ class TestSweepContract:
         monkeypatch.setattr(verify, "dissection_identity_check", no_check)
         with pytest.raises(ValueError):
             verify_dissection_identities((), 50)
+
+    def test_dissection_with_a_repeated_t_is_rejected(self, monkeypatch):
+        def no_check(*args):
+            raise AssertionError("a residue was checked for a repeated t")
+
+        monkeypatch.setattr(verify, "dissection_identity_check", no_check)
+        with pytest.raises(ValueError, match="distinct"):
+            verify_dissection_identities((5, 5), 50)
+        with pytest.raises(ValueError, match="distinct"):
+            verify_dissection_identities((7, 5, 7), 50)
 
     def test_tcore_reports_first_counterexample(self, monkeypatch):
         monkeypatch.setattr(verify, "acore_mod2_series", planted({7: {0, 23, 13}}))
