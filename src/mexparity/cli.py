@@ -34,7 +34,7 @@ CHUNK = 1 << 14  # rows per chunk that `compute` renders and writes at a time
 
 _COLUMNS = {
     "coefficient": ("t", "n", "value"),
-    "report": verify.VerificationReport._fields,
+    "report": verify.VerificationReport.COLUMNS,
     "claim": verify.CongruenceClaim.COLUMNS,
 }
 

@@ -1,14 +1,15 @@
 """Machine verification of the parity results and congruence scanning.
 
 Each checker sweeps an explicit finite range and returns a
-VerificationReport carrying the range, a pass flag and, on failure, the
-first counterexample: the smallest failing index in the first family (in
-the checker's stated order) that fails.  A sweep over indices below an
-exclusive bound needs bound >= 2, so that index 1 is in range; a smaller
-bound, like an empty list of families, is a ValueError, never a vacuous
-pass.  A bound above series.MOD2_ORDER_CEILING raises OrderLimitError,
-as does an identity order above IDENTITY_CEILING (10^4), and a scan
-modulus above SCAN_MODULUS_CEILING (10^6) or a crank/rank bound above
+VerificationReport carrying the range and, on failure, the first
+counterexample, the smallest failing index in the first family (in the
+checker's stated order) that fails; it passes exactly when it holds
+none.  The families are the module's constants.  A sweep over indices
+below an exclusive bound needs bound >= 2, so that index 1 is in range;
+a smaller bound is a ValueError, never a vacuous pass.  A bound above
+series.MOD2_ORDER_CEILING raises OrderLimitError, as does an identity
+order above IDENTITY_CEILING (10^4), and a scan modulus above
+SCAN_MODULUS_CEILING (10^6) or a crank/rank bound above
 CRANK_RANK_CEILING (45) a LimitError, before anything is built.  Every
 family is read as slices of the parity series' digit string, q^0 first.
 Nothing here proves anything: a passing report means "no counterexample
@@ -71,7 +72,12 @@ THEOREM6_RESIDUES: dict[int, tuple[int, ...]] = {
     23: (11, 15, 21, 23, 29, 31, 35, 39, 41, 43, 45),
 }
 
-DEFAULT_QNR_PRIMES = (5, 7, 11, 13, 17)
+# the corollary families and run_suite's clamp for the dissection order: each
+# is named in a range text, so in the digests
+QNR_PRIMES = (5, 7, 11, 13, 17)
+POWER4_MAX_M = 6
+DISSECTION_TS = (5, 7)
+DISSECTION_ORDER = 500
 # largest order verify_series_identities accepts, and run_suite's clamp for
 # it: its range text, "0 <= n < 10000", is in the digests, and it keeps
 # `verify --suite all` fast (the three rebuilt products take 0.19 s at 10^4,
@@ -83,35 +89,31 @@ CRANK_RANK_CEILING = 45
 # largest modulus scan_congruences accepts: it builds one claim per class,
 # about 0.9 KiB each, so 10^6 classes take about 0.9 GiB
 SCAN_MODULUS_CEILING = 10**6
-DEFAULT_POWER4_MAX_M = 6
 
 SUITES = ("all", "p11", "p33", "crank-rank", "theorem6", "corollaries", "identities")
 
 
-class _Report(NamedTuple):
-    theorem_id: str
-    range: str
-    passed: bool
-    counterexample: int | None
-    detail: str
-
-
-class VerificationReport(_Report):
+class VerificationReport(NamedTuple):
     """Outcome of one finite verification sweep.
 
-    passed is False exactly when a counterexample is recorded; detail
-    carries human-readable context (which prime, which residue, ...).
+    passed is derived: True exactly when no counterexample is recorded;
+    detail carries human-readable context (which prime, which residue, ...).
     """
 
-    __slots__ = ()
+    theorem_id: str
+    range: str
+    counterexample: int | None = None
+    detail: str = ""
 
-    def __new__(cls, theorem_id, range, passed, counterexample=None, detail=""):
-        if passed != (counterexample is None):
-            raise ValueError("passed must be False exactly when a counterexample is present")
-        return super().__new__(cls, theorem_id, range, passed, counterexample, detail)
+    @property
+    def passed(self) -> bool:
+        return self.counterexample is None
+
+    # the record's keys in order: the fields, with the derived flag after the range
+    COLUMNS = ("theorem_id", "range", "passed", "counterexample", "detail")
 
     def to_record(self) -> dict:
-        return self._asdict()
+        return {c: getattr(self, c) for c in self.COLUMNS}
 
 
 class _Claim(NamedTuple):
@@ -177,9 +179,6 @@ def legendre_nonresidue(x: int, p: int) -> bool:
     """
     if p < 5 or any(p % f == 0 for f in range(2, isqrt(p) + 1)):
         raise ValueError(f"p must be a prime >= 5, got {p}")
-    x %= p
-    if x == 0:
-        return False
     return pow(x, (p - 1) // 2, p) == p - 1
 
 
@@ -191,7 +190,8 @@ def qnr_residues(which: str, p: int) -> tuple[int, ...]:
     cover.
     """
     shift = _characterization(which)[1]
-    return tuple(r for r in range(1, p) if legendre_nonresidue(shift * r + 1, p))
+    legendre_nonresidue(0, p)  # rejects p unless a prime >= 5: once, not once per r
+    return tuple(r for r in range(1, p) if pow(shift * r + 1, (p - 1) // 2, p) == p - 1)
 
 
 # which -> (t, shift): ptt_mod2_series(t) is odd at n iff shift*n + 1 is a square
@@ -223,12 +223,6 @@ def _class_witness(digits: str, modulus: int, r: int) -> int | None:
     return n if n >= 0 else None
 
 
-def _report(theorem_id: str, rng: str, witness: int | None, detail: str = "") -> VerificationReport:
-    if witness is None:
-        return VerificationReport(theorem_id, rng, True)
-    return VerificationReport(theorem_id, rng, False, witness, detail=detail)
-
-
 def _sweep(theorem_id: str, rng: str, families: Iterable) -> VerificationReport:
     # families yields (digit string, modulus, residues, note) in check order;
     # a failure names the smallest odd index >= 1 of the first family that has one
@@ -237,8 +231,8 @@ def _sweep(theorem_id: str, rng: str, families: Iterable) -> VerificationReport:
         n = min((modulus * w + r for w, r in witnesses if w is not None), default=None)
         if n is not None:
             where = f"{modulus}n + {n % modulus}{note}"
-            return _report(theorem_id, rng, n, f"odd count at index {n} = {where}")
-    return _report(theorem_id, rng, None)
+            return VerificationReport(theorem_id, rng, n, f"odd count at index {n} = {where}")
+    return VerificationReport(theorem_id, rng)
 
 
 def verify_characterization(which: str, bound: int) -> VerificationReport:
@@ -263,8 +257,9 @@ def verify_characterization(which: str, bound: int) -> VerificationReport:
     for n, p in zip_longest(odd, predicted, fillvalue=bound):
         if n != p:
             m = min(n, p)
-            return _report(theorem_id, rng, m, f"parity {int(m == n)} but predicate says {m == p}")
-    return _report(theorem_id, rng, None)
+            detail = f"parity {int(m == n)} but predicate says {m == p}"
+            return VerificationReport(theorem_id, rng, m, detail)
+    return VerificationReport(theorem_id, rng)
 
 
 def _add_part(counts: list[int], m: int) -> list[int]:
@@ -346,10 +341,10 @@ def verify_crank_rank(bound: int) -> VerificationReport:
     for n in range(1, bound + 1):
         crank_count, mex11_count, rank_count, mex33_count = tallies[n]
         if mex11_count != crank_count:
-            return _report("crank-rank-equivalence", rng, n, "crank side mismatch")
+            return VerificationReport("crank-rank-equivalence", rng, n, "crank side mismatch")
         if mex33_count != rank_count:
-            return _report("crank-rank-equivalence", rng, n, "rank side mismatch")
-    return _report("crank-rank-equivalence", rng, None)
+            return VerificationReport("crank-rank-equivalence", rng, n, "rank side mismatch")
+    return VerificationReport("crank-rank-equivalence", rng)
 
 
 def verify_odd_progression(bound: int) -> VerificationReport:
@@ -358,40 +353,36 @@ def verify_odd_progression(bound: int) -> VerificationReport:
     return _sweep("p11-odd-progression", f"odd n < {bound}", [(digits, 2, (1,), "")])
 
 
-def verify_qnr_families(which: str, primes: tuple[int, ...], bound: int) -> VerificationReport:
+def verify_qnr_families(which: str, bound: int) -> VerificationReport:
     """Quadratic non-residue progressions have all-even counts.
 
-    For each prime p and each residue r picked out by qnr_residues, every
-    index pn + r below the bound must carry an even coefficient.  An empty
-    or repeated list of primes is a ValueError: each prime is one family,
-    checked and reported once.
+    For each prime p in QNR_PRIMES and each residue r picked out by
+    qnr_residues, every index pn + r below the bound must carry an even
+    coefficient.
     """
-    if not primes or len(set(primes)) < len(primes):
-        raise ValueError(f"primes must be non-empty and distinct, got {primes}")
     digits = ptt_mod2_series(_characterization(which)[0], _checked_bound(bound)).digits
-    families = ((digits, p, qnr_residues(which, p), "") for p in sorted(primes))
-    rng = f"p in {sorted(primes)}, indices < {bound}"
+    families = ((digits, p, qnr_residues(which, p), "") for p in QNR_PRIMES)
+    rng = f"p in {list(QNR_PRIMES)}, indices < {bound}"
     return _sweep(f"{which}-qnr-families", rng, families)
 
 
-def verify_power4_families(max_m: int, bound: int) -> VerificationReport:
+def verify_power4_families(bound: int) -> VerificationReport:
     """The three power-of-4 progression families for t = 3 are all even.
 
-    For each 0 <= m <= max_m the progressions 4^(m+1) n + (7*4^m - 1)/3,
-    4^(m+1) n + (10*4^m - 1)/3 and 2*4^(m+1) n + (13*4^m - 1)/3 must have
-    even coefficients at every index below the bound.  The families stop
-    at the first m whose smallest residue, (7*4^m - 1)/3, is >= bound:
-    from there on no family has an index below it.
+    For each 0 <= m <= POWER4_MAX_M the progressions
+    4^(m+1) n + (7*4^m - 1)/3, 4^(m+1) n + (10*4^m - 1)/3 and
+    2*4^(m+1) n + (13*4^m - 1)/3 must have even coefficients at every
+    index below the bound.  The families stop at the first m whose
+    smallest residue, (7*4^m - 1)/3, is >= bound: from there on no family
+    has an index below it.
     """
-    if max_m < 0:
-        raise ValueError("max_m must be >= 0")
     digits = ptt_mod2_series(3, _checked_bound(bound)).digits
     families = (
         (digits, modulus, ((k * 4**m - 1) // 3,), f" (m={m})")
-        for m in takewhile(lambda m: (7 * 4**m - 1) // 3 < bound, range(max_m + 1))
+        for m in takewhile(lambda m: (7 * 4**m - 1) // 3 < bound, range(POWER4_MAX_M + 1))
         for modulus, k in ((4 ** (m + 1), 7), (4 ** (m + 1), 10), (2 * 4 ** (m + 1), 13))
     )
-    return _sweep("p33-power4-families", f"0 <= m <= {max_m}, indices < {bound}", families)
+    return _sweep("p33-power4-families", f"0 <= m <= {POWER4_MAX_M}, indices < {bound}", families)
 
 
 def _residue_families(theorem_id: str, series_of, bound: int) -> VerificationReport:
@@ -444,11 +435,9 @@ def _log_product(s: list[int], a: int, b: int) -> list[int]:
 
 
 def _identity_report(theorem_id: str, order: int, closed, product) -> VerificationReport:
-    rng = f"0 <= n < {order}"
     n = next((i for i, (c, p) in enumerate(zip(closed, product)) if c != p), None)
-    if n is None:
-        return _report(theorem_id, rng, None)
-    return _report(theorem_id, rng, n, f"coefficients differ at q^{n}: {closed[n]} vs {product[n]}")
+    detail = "" if n is None else f"coefficients differ at q^{n}: {closed[n]} vs {product[n]}"
+    return VerificationReport(theorem_id, f"0 <= n < {order}", n, detail)
 
 
 def verify_series_identities(order: int) -> list[VerificationReport]:
@@ -477,19 +466,17 @@ def verify_series_identities(order: int) -> list[VerificationReport]:
     ]
 
 
-def verify_dissection_identities(ts: tuple[int, ...], order: int) -> VerificationReport:
-    """Run dissection_identity_check once per t in ts, t ascending; a
-    failure names the smallest failing residue r < 2t of the first
-    failing t.  An empty or repeated ts is a ValueError."""
-    if not ts or len(set(ts)) < len(ts):
-        raise ValueError(f"ts must be non-empty and distinct, got {ts}")
-    rng = f"t in {sorted(ts)}, r < 2t, order {order}"
-    for t in sorted(ts):
+def verify_dissection_identities(order: int) -> VerificationReport:
+    """Run dissection_identity_check once per t in DISSECTION_TS, t
+    ascending; a failure names the smallest failing residue r < 2t of the
+    first failing t."""
+    rng = f"t in {list(DISSECTION_TS)}, r < 2t, order {order}"
+    for t in DISSECTION_TS:
         failing = dissection_identity_check(t, order)
         if failing:
             r = failing[0]
-            return _report("dissection-identity", rng, r, f"residue {r} fails for t={t}")
-    return _report("dissection-identity", rng, None)
+            return VerificationReport("dissection-identity", rng, r, f"residue {r} fails for t={t}")
+    return VerificationReport("dissection-identity", rng)
 
 
 def scan_congruences(t: int, modulus: int, bound: int) -> list[CongruenceClaim]:
@@ -526,8 +513,8 @@ def run_suite(name: str, bound: int) -> list[VerificationReport]:
     Three sweeps are clamped so that a single large bound remains a
     one-knob interface: crank-rank to CRANK_RANK_CEILING (n <= 45),
     the integer series identities to order IDENTITY_CEILING (10^4) and
-    the dissection identity to order 500.  Each report's range shows the
-    clamped value.
+    the dissection identity to order DISSECTION_ORDER (500).  Each
+    report's range shows the clamped value.
     """
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
@@ -544,11 +531,11 @@ def run_suite(name: str, bound: int) -> list[VerificationReport]:
         reports.append(verify_tcore_congruences(bound))
     if name in ("all", "corollaries", "p11"):
         reports.append(verify_odd_progression(bound))
-        reports.append(verify_qnr_families("p11", DEFAULT_QNR_PRIMES, bound))
+        reports.append(verify_qnr_families("p11", bound))
     if name in ("all", "corollaries", "p33"):
-        reports.append(verify_power4_families(DEFAULT_POWER4_MAX_M, bound))
-        reports.append(verify_qnr_families("p33", DEFAULT_QNR_PRIMES, bound))
+        reports.append(verify_power4_families(bound))
+        reports.append(verify_qnr_families("p33", bound))
     if name in ("all", "identities"):
         reports.extend(verify_series_identities(min(bound, IDENTITY_CEILING)))
-        reports.append(verify_dissection_identities((5, 7), min(bound, 500)))
+        reports.append(verify_dissection_identities(min(bound, DISSECTION_ORDER)))
     return reports

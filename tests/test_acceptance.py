@@ -99,9 +99,9 @@ def test_criterion_5_theorem6_families():
 
 def test_criterion_6_corollary_families():
     odd = verify_odd_progression(CHARACTERIZATION_BOUND)
-    qnr11 = verify_qnr_families("p11", (5, 7, 11, 13, 17), CHARACTERIZATION_BOUND)
-    qnr33 = verify_qnr_families("p33", (5, 7, 11, 13, 17), CHARACTERIZATION_BOUND)
-    pow4 = verify_power4_families(6, CHARACTERIZATION_BOUND)
+    qnr11 = verify_qnr_families("p11", CHARACTERIZATION_BOUND)
+    qnr33 = verify_qnr_families("p33", CHARACTERIZATION_BOUND)
+    pow4 = verify_power4_families(CHARACTERIZATION_BOUND)
     reports = [odd, qnr11, qnr33, pow4]
     _criterion(
         6,

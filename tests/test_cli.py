@@ -153,7 +153,7 @@ class TestVerifyCommand:
         from mexparity import cli
         from mexparity.verify import VerificationReport
 
-        failing = VerificationReport("probe", "n < 9", False, 7, detail="synthetic")
+        failing = VerificationReport("probe", "n < 9", 7, detail="synthetic")
         monkeypatch.setattr(cli.verify, "run_suite", lambda name, bound: [failing])
         result = run("verify", "--suite", "p11")
         assert result.exit_code == 1

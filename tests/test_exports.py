@@ -117,7 +117,7 @@ def test_no_module_imports_a_private_name_of_another():
         # take plain coefficient lists and tuples
         ("_divisor_sums", set()),
         ("_log_product", set()),
-        ("_identity_report", {"_report"}),
+        ("_identity_report", set()),
     ],
 )
 def test_oracles_read_no_series_code(root, helpers):

@@ -249,13 +249,13 @@ class TestDissectionPlantedBit:
         # both in increasing order and the report names the smaller residue
         _plant_tcore_bit(monkeypatch, 7, 14 * 20 + 8, 14 * 25 + 6)
         assert dissection_identity_check(7, self.ORDER) == (6, 8)
-        report = verify_dissection_identities((7,), self.ORDER)
+        report = verify_dissection_identities(self.ORDER)
         assert (report.counterexample, report.detail) == (6, "residue 6 fails for t=7")
 
     @pytest.mark.parametrize("t, r", [(5, 6), (7, 9)])
     def test_sweep_reports_the_planted_class(self, monkeypatch, t, r):
         _plant_tcore_bit(monkeypatch, t, 2 * t * 17 + r)
-        report = verify_dissection_identities((5, 7), self.ORDER)
+        report = verify_dissection_identities(self.ORDER)
         assert not report.passed
         assert report.counterexample == r
         assert report.detail == f"residue {r} fails for t={t}"

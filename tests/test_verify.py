@@ -1,3 +1,5 @@
+import copy
+import inspect
 import pickle
 import tracemalloc
 from functools import lru_cache
@@ -24,8 +26,6 @@ from mexparity.series import (
 )
 from mexparity.verify import (
     CongruenceClaim,
-    DEFAULT_POWER4_MAX_M,
-    DEFAULT_QNR_PRIMES,
     SUITES,
     THEOREM6_RESIDUES,
     VerificationReport,
@@ -58,8 +58,8 @@ CHECKERS = {
     "p11": lambda bound: verify_characterization("p11", bound),
     "p33": lambda bound: verify_characterization("p33", bound),
     "odd-progression": verify_odd_progression,
-    "qnr": lambda bound: verify_qnr_families("p11", DEFAULT_QNR_PRIMES, bound),
-    "power4": lambda bound: verify_power4_families(2, bound),
+    "qnr": lambda bound: verify_qnr_families("p11", bound),
+    "power4": verify_power4_families,
     "theorem6": verify_theorem6,
     "tcore": verify_tcore_congruences,
 }
@@ -162,6 +162,22 @@ class TestLegendre:
         squares = {(y * y) % p for y in range(p)}
         assert legendre_nonresidue(x, p) == (x % p != 0 and x % p not in squares)
 
+    def test_qnr_residues_test_primality_once(self, monkeypatch):
+        # trial division runs isqrt once per primality test: once for the
+        # 1,008 residues of p = 1009, not once per residue
+        calls = []
+
+        def counting_isqrt(n):
+            calls.append(n)
+            return isqrt(n)
+
+        monkeypatch.setattr(verify, "isqrt", counting_isqrt)
+        for which, shift in (("p11", 12), ("p33", 3)):
+            calls.clear()
+            residues = qnr_residues(which, 1009)
+            assert residues == tuple(r for r in range(1, 1009) if pow(shift * r + 1, 504, 1009) == 1008)
+            assert calls == [1009], len(calls)
+
     def test_qualifying_residues(self):
         assert qnr_residues("p11", 5) == (1, 3)
         assert qnr_residues("p33", 5) == (2, 4)
@@ -173,18 +189,25 @@ class TestLegendre:
 
 class TestReportTypes:
     def test_report_invariant(self):
-        with pytest.raises(ValueError):
-            VerificationReport("x", "n < 5", True, counterexample=3)
-        with pytest.raises(ValueError):
-            VerificationReport("x", "n < 5", False)
+        # a report passes exactly when it records no counterexample, whatever
+        # its detail: the flag is read off the counterexample, not stored
+        failed, passed = VerificationReport("x", "n < 5", 3), VerificationReport("x", "n < 5")
+        assert (failed.passed, passed.passed) == (False, True)
+        assert not VerificationReport("x", "n < 5", 0).passed
+        assert VerificationReport("x", "n < 5", detail="d").passed
+        assert VerificationReport._fields == ("theorem_id", "range", "counterexample", "detail")
+        for report in (failed, passed):
+            for twin in (pickle.loads(pickle.dumps(report)), copy.copy(report), copy.deepcopy(report)):
+                assert twin == report and twin.passed == report.passed
+            assert list(report.to_record()) == list(VerificationReport.COLUMNS)
 
     def test_reports_are_immutable_records(self):
-        report = VerificationReport(theorem_id="x", range="n < 5", passed=False,
-                                    counterexample=3, detail="d")
-        assert report == VerificationReport("x", "n < 5", False, 3, "d")
+        report = VerificationReport(theorem_id="x", range="n < 5", counterexample=3, detail="d")
+        assert report == VerificationReport("x", "n < 5", 3, "d")
         assert pickle.loads(pickle.dumps(report)) == report
-        assert report.to_record() == {"theorem_id": "x", "range": "n < 5", "passed": False,
-                                      "counterexample": 3, "detail": "d"}
+        assert list(report.to_record().items()) == [
+            ("theorem_id", "x"), ("range", "n < 5"), ("passed", False),
+            ("counterexample", 3), ("detail", "d")]
         claim = CongruenceClaim(t=5, modulus=10, residue=3, checked_bound=9, witness=0)
         assert list(claim.to_record().items()) == [
             ("t", 5), ("modulus", 10), ("residue", 3), ("checked_bound", 9),
@@ -327,22 +350,40 @@ class TestProgressionFamilies:
         assert verify_odd_progression(4000).passed
 
     def test_qnr_families(self):
-        assert verify_qnr_families("p11", DEFAULT_QNR_PRIMES, 4000).passed
-        assert verify_qnr_families("p33", DEFAULT_QNR_PRIMES, 4000).passed
+        assert verify_qnr_families("p11", 4000).passed
+        assert verify_qnr_families("p33", 4000).passed
 
     def test_power4_families(self):
-        assert verify_power4_families(3, 4000).passed
+        assert verify_power4_families(4000).passed
+
+    def test_checkers_take_no_family_argument(self):
+        # the families are the module's constants, not parameters
+        signatures = {
+            verify_qnr_families: ["which", "bound"],
+            verify_power4_families: ["bound"],
+            verify_dissection_identities: ["order"],
+        }
+        for checker, params in signatures.items():
+            assert list(inspect.signature(checker).parameters) == params, checker.__name__
 
     def test_families_beyond_the_defaults_hold(self):
-        # evidence at 10^5 for the larger families a larger bound would add:
-        # m = 7 is the largest m with an index below 10^5, (7 * 4^7 - 1) / 3 =
-        # 38229, and every prime 5 <= p < 200 for both QNR corollaries
+        # evidence at 10^5 for the larger families a larger bound would add,
+        # read as slices of the digit strings: m = 7 is the largest m with an
+        # index below 10^5, (7 * 4^7 - 1) / 3 = 38229, and every prime
+        # 5 <= p < 200 for both QNR corollaries; no residue is 0, so index 0
+        # is never read
         assert (7 * 4**7 - 1) // 3 < 10**5 < (7 * 4**8 - 1) // 3
-        assert verify_power4_families(7, 10**5).passed
+        digits = ptt_mod2_series(3, 10**5).digits
+        for modulus, k in ((4**8, 7), (4**8, 10), (2 * 4**8, 13)):
+            r = (k * 4**7 - 1) // 3
+            assert r < 10**5 and "1" not in digits[r::modulus], (modulus, r)
         primes = tuple(p for p in range(5, 200) if all(p % f for f in range(2, isqrt(p) + 1)))
         assert len(primes) == 44
-        for which in ("p11", "p33"):
-            assert verify_qnr_families(which, primes, 10**5).passed
+        for which, t in (("p11", 1), ("p33", 3)):
+            digits = ptt_mod2_series(t, 10**5).digits
+            for p in primes:
+                for r in qnr_residues(which, p):
+                    assert "1" not in digits[r::p], (which, p, r)
 
     def test_power4_offsets_are_integral(self):
         for m in range(8):
@@ -354,8 +395,8 @@ class TestProgressionFamilies:
     def test_every_catalog_family_has_an_index_below_the_bound(self, bound):
         # the benchmark's catalog runs at 10^5 and CI's at 10^6; a family with
         # no index n >= 1 below the bound would pass without being checked
-        assert DEFAULT_POWER4_MAX_M == 6
-        assert DEFAULT_QNR_PRIMES == (5, 7, 11, 13, 17)
+        assert verify.POWER4_MAX_M == 6
+        assert verify.QNR_PRIMES == (5, 7, 11, 13, 17)
         unreached = [f for f in catalog_families() if first_index(*f[1:]) >= bound]
         assert unreached == []
 
@@ -391,9 +432,8 @@ class TestSweepContract:
         [
             lambda: CongruenceClaim(5, 10, 2, 9, witness=-1),
             lambda: verify_crank_rank(0),
-            lambda: verify_power4_families(-1, 10),
         ],
-        ids=["negative-witness", "crank-rank-bound-0", "power4-max-m-negative"],
+        ids=["negative-witness", "crank-rank-bound-0"],
     )
     def test_out_of_range_arguments_rejected(self, call):
         with pytest.raises(ValueError):
@@ -448,14 +488,14 @@ class TestSweepContract:
         # p11 non-residue classes: 1, 3 mod 5 and 1, 5, 6 mod 7; 5 is smaller
         # but lies only in a class mod 7, and 5 is checked first
         monkeypatch.setattr(verify, "ptt_mod2_series", planted({1: {0, 2, 5, 13, 11}}))
-        report = verify_qnr_families("p11", (7, 5), 100)
+        report = verify_qnr_families("p11", 100)
         assert (report.counterexample, report.detail) == (11, "odd count at index 11 = 5n + 1")
 
     def test_power4_reports_smallest_index_of_first_failing_family(self, monkeypatch):
         # families in order: 4n+2, 4n+3, 8n+4, then 16n+9, 16n+13, 32n+17;
         # 13 lies in a later family than 25 = 16 + 9
         monkeypatch.setattr(verify, "ptt_mod2_series", planted({3: {0, 1, 13, 25, 41}}))
-        report = verify_power4_families(1, 100)
+        report = verify_power4_families(100)
         assert report.counterexample == 25
         assert report.detail == "odd count at index 25 = 16n + 9 (m=1)"
 
@@ -463,28 +503,33 @@ class TestSweepContract:
         # 128n + 69 (m=2) has its modulus above the bound 100 but residue 69
         # below it; the m=3 classes mod 256 start at 149 and hold no index
         monkeypatch.setattr(verify, "ptt_mod2_series", planted({3: {0, 69}}))
-        report = verify_power4_families(3, 100)
+        report = verify_power4_families(100)
         assert report.counterexample == 69
         assert report.detail == "odd count at index 69 = 128n + 69 (m=2)"
-        assert verify_power4_families(3, 69).passed
+        assert verify_power4_families(69).passed
 
     def test_class_mask_is_no_wider_than_the_series(self):
         # the m = 12 moduli are 4^13 and 2 * 4^13: a class mask that many
         # bits wide is 16 MB, and building it peaked at about 43 MB; a class
         # read as a slice of the digit string is never longer than the series
-        ptt_mod2_series(3, 1000)
+        digits = ptt_mod2_series(3, 1000).digits
+        m = 12
+        families = [
+            (digits, modulus, ((k * 4**m - 1) // 3,), f" (m={m})")
+            for modulus, k in ((4 ** (m + 1), 7), (4 ** (m + 1), 10), (2 * 4 ** (m + 1), 13))
+        ]
         tracemalloc.start()
         try:
-            assert verify_power4_families(12, 1000).passed
+            assert verify._sweep("p33-power4-families", "m = 12, indices < 1000", families).passed
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
 
-    @pytest.mark.parametrize("max_m, bound, built", [(50, 1000, 15), (DEFAULT_POWER4_MAX_M, 10**5, 21)])
-    def test_power4_families_stop_at_the_bound(self, monkeypatch, max_m, bound, built):
+    @pytest.mark.parametrize("bound, built", [(1000, 15), (10**5, 21)])
+    def test_power4_families_stop_at_the_bound(self, monkeypatch, bound, built):
         # the m <= 4 families have an index below 1000, (7 * 4^5 - 1) / 3 =
-        # 2389 does not; building all 3 * (max_m + 1) is quadratic in max_m
+        # 2389 does not; at 10^5 all 3 * (POWER4_MAX_M + 1) = 21 are built
         sweep, received = verify._sweep, []
 
         def counting(theorem_id, rng, families):
@@ -493,8 +538,8 @@ class TestSweepContract:
             return sweep(theorem_id, rng, families)
 
         monkeypatch.setattr(verify, "_sweep", counting)
-        report = verify_power4_families(max_m, bound)
-        assert report.passed and report.range == f"0 <= m <= {max_m}, indices < {bound}"
+        report = verify_power4_families(bound)
+        assert report.passed and report.range == f"0 <= m <= 6, indices < {bound}"
         assert len(received) == built
 
     def test_theorem6_reports_first_counterexample(self, monkeypatch):
@@ -510,28 +555,6 @@ class TestSweepContract:
         report = verify_theorem6(97)
         assert (report.counterexample, report.detail) == (96, "odd count at index 96 = 10n + 6 (t=5)")
 
-    def test_qnr_with_no_primes_is_rejected(self, monkeypatch):
-        # no prime means no family: that checks nothing and must not pass
-        def no_build(t, order):
-            raise AssertionError("a series was built for an empty sweep")
-
-        monkeypatch.setattr(verify, "ptt_mod2_series", no_build)
-        for which in ("p11", "p33"):
-            with pytest.raises(ValueError):
-                verify_qnr_families(which, (), 1000)
-
-    def test_qnr_with_a_repeated_prime_is_rejected(self, monkeypatch):
-        # a repeated prime would be checked, and named in the range, twice
-        def no_build(t, order):
-            raise AssertionError("a series was built for a repeated family")
-
-        monkeypatch.setattr(verify, "ptt_mod2_series", no_build)
-        for which in ("p11", "p33"):
-            with pytest.raises(ValueError, match="distinct"):
-                verify_qnr_families(which, (5, 5), 100)
-            with pytest.raises(ValueError, match="distinct"):
-                verify_qnr_families(which, (7, 5, 7), 100)
-
     @given(st.data(), st.integers(1, 600))
     def test_first_odd_is_the_smallest_odd_index_in_the_classes(self, data, order):
         # _sweep over one family against an oracle that reads coefficient by
@@ -545,24 +568,6 @@ class TestSweepContract:
         )
         report = verify._sweep("family", "indices < order", [(s.digits, modulus, sorted(residues), "")])
         assert report.counterexample == want
-
-    def test_dissection_with_no_t_is_rejected(self, monkeypatch):
-        def no_check(*args):
-            raise AssertionError("a residue was checked for an empty sweep")
-
-        monkeypatch.setattr(verify, "dissection_identity_check", no_check)
-        with pytest.raises(ValueError):
-            verify_dissection_identities((), 50)
-
-    def test_dissection_with_a_repeated_t_is_rejected(self, monkeypatch):
-        def no_check(*args):
-            raise AssertionError("a residue was checked for a repeated t")
-
-        monkeypatch.setattr(verify, "dissection_identity_check", no_check)
-        with pytest.raises(ValueError, match="distinct"):
-            verify_dissection_identities((5, 5), 50)
-        with pytest.raises(ValueError, match="distinct"):
-            verify_dissection_identities((7, 5, 7), 50)
 
     def test_tcore_reports_first_counterexample(self, monkeypatch):
         monkeypatch.setattr(verify, "acore_mod2_series", planted({7: {0, 23, 13}}))
@@ -738,7 +743,7 @@ class TestIdentitySuites:
         assert report.detail == "coefficients differ at q^7: 1 vs 2"
 
     def test_dissection_identities(self):
-        assert verify_dissection_identities((5, 7), 40).passed
+        assert verify_dissection_identities(40).passed
 
 
 class TestScanner:
@@ -945,18 +950,23 @@ class TestSuiteRunner:
 
         def identities(order):
             orders.append(order)
-            return [VerificationReport("identity", f"0 <= n < {order}", True)]
+            return [VerificationReport("identity", f"0 <= n < {order}")]
 
         monkeypatch.setattr(verify, "verify_series_identities", identities)
-        monkeypatch.setattr(
-            verify, "verify_dissection_identities", lambda ts, order: identities(order)[0]
-        )
+        monkeypatch.setattr(verify, "verify_dissection_identities", lambda order: identities(order)[0])
         reports = run_suite("identities", 100_000)
         assert orders == [10**4, 500]
         assert reports[0].range == "0 <= n < 10000"
         orders.clear()
         run_suite("identities", 5000)
         assert orders == [5000, 500]
+
+    def test_dissection_order_is_the_module_constant(self, monkeypatch):
+        # the clamp is read from DISSECTION_ORDER when the suite runs
+        monkeypatch.setattr(verify, "verify_series_identities", lambda order: [])
+        assert run_suite("identities", 10**4)[-1].range == "t in [5, 7], r < 2t, order 500"
+        monkeypatch.setattr(verify, "DISSECTION_ORDER", 60)
+        assert run_suite("identities", 10**4)[-1].range == "t in [5, 7], r < 2t, order 60"
 
     def test_all_suite_composition(self):
         reports = run_suite("all", 300)
