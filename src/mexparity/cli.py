@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Three subcommands: `compute` streams coefficients of the mex-partition
-series, CHUNK rows at a time formatted straight from the series, so its
-memory does not grow with `--limit`; `verify` runs the named verification
+series, CHUNK rows at a time rendered straight from the series (parity
+bits as fixed-width rows filled in by strided copies), so its memory
+does not grow with `--limit`; `verify` runs the named verification
 suites, and `scan` sweeps residue classes for parity congruence
 candidates.  Every record stream can be rendered as an aligned table,
 JSON lines or CSV, and the same invocation always produces
@@ -84,10 +85,37 @@ def _coefficient_chunks(t: int, series: TruncatedSeries, fmt: str) -> Iterator[s
         wn = len(str(series.order - 1))
         yield f"{'t':<{len(str(t))}}  {'n':<{wn}}  value\n"
         line = "%d  {:<%d}  {}\n" % (t, wn)
-    vals = series.digits if series.domain is MOD2 else series.coeffs
+    if series.domain is not MOD2:
+        # values of any width: one format call per row, at most 10^4 rows
+        coeffs = series.coeffs
+        for lo in range(0, series.order, CHUNK):
+            hi = min(lo + CHUNK, series.order)
+            yield "".join(map(line.format, range(lo, hi), coeffs[lo:hi]))
+        return
+    # Over GF(2) every value is one digit, so the rows of a run [a, b) of
+    # d-digit indices all have the width w of row a: the run is that row
+    # repeated, and the digits of n and the bits are copied into their
+    # columns by strided slice assignments.  at_n and tail place n and the
+    # bit in a row, counted from its start and from its end.
+    probe = line.format("\0", "\1")
+    at_n, tail = probe.index("\0"), len(probe) - probe.index("\1")
+    digits = series.digits
     for lo in range(0, series.order, CHUNK):
         hi = min(lo + CHUNK, series.order)
-        yield "".join(map(line.format, range(lo, hi), vals[lo:hi]))
+        rows, a = [], lo
+        while a < hi:
+            d = len(str(a))
+            b = min(hi, 10**d)
+            row = line.format(a, 0).encode()
+            w = len(row)
+            buf = bytearray(row * (b - a))
+            ns = (("%d" * (b - a)) % tuple(range(a, b))).encode()
+            for i in range(d):
+                buf[at_n + i::w] = ns[i::d]
+            buf[w - tail::w] = digits[a:b].encode()
+            rows.append(buf.decode())
+            a = b
+        yield "".join(rows)
 
 
 def _emit(chunks: Iterable[str], out: io.TextIOWrapper | None) -> None:

@@ -16,7 +16,7 @@ import mexparity
 from mexparity import genfun, series, verify
 from mexparity.cli import CHUNK, _coefficient_chunks, _render, main
 from mexparity.genfun import ptt_mod2_series, ptt_series
-from mexparity.series import TruncatedSeries
+from mexparity.series import MOD2, TruncatedSeries
 
 
 def run(*args, env=None):
@@ -342,8 +342,10 @@ class TestOutputFormats:
         assert header == ["t", "n", "value"]
 
 
-# Chunk edges, and the orders at which the n column widens (9 -> 10 rows).
-STREAM_LIMITS = (1, 9, 10, 11, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3)
+# Chunk edges, and orders at which the n column widens: in the first rows
+# (9 -> 10 rows), and inside a chunk (99 -> 101, 10**4 + 1 and 10**5 + 1).
+STREAM_LIMITS = (1, 9, 10, 11, 99, 100, 101, 10**4 + 1, CHUNK - 1, CHUNK, CHUNK + 1,
+                 2 * CHUNK + 3, 10**5 + 1)
 FORMATS = ("table", "jsonl", "csv")
 
 
@@ -383,6 +385,24 @@ class TestStreamedCompute:
         # signed values that differ at every index stand in for it here
         series = TruncatedSeries([n * (-1) ** n for n in range(limit)])
         assert "".join(_coefficient_chunks(7, series, fmt)) == render_records(7, series, fmt)
+
+    @given(t=st.integers(0, 100).map(lambda k: 2 * k + 1),
+           order=st.sampled_from((10, 100, 1000, 10**4, CHUNK, 2 * CHUNK)).flatmap(
+               lambda edge: st.integers(edge - 2, edge + 2)),
+           fmt=st.sampled_from(FORMATS), rng=st.randoms(use_true_random=False))
+    @settings(max_examples=30)
+    def test_random_bits_next_to_a_width_change(self, t, order, fmt, rng):
+        # random bits differ from row to row, so a bit or a digit of n copied
+        # one row or one column off shows; the real series' sparse bits may not
+        bits = format(rng.getrandbits(order), f"0{order}b")
+        series = TruncatedSeries(map(int, bits), MOD2)
+        assert "".join(_coefficient_chunks(t, series, fmt)) == render_records(t, series, fmt)
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_rows_stream_one_chunk_at_a_time(self, fmt):
+        chunks = list(_coefficient_chunks(5, ptt_mod2_series(5, 2 * CHUNK + 3), fmt))
+        header = [] if fmt == "jsonl" else [1]
+        assert [chunk.count("\n") for chunk in chunks] == header + [CHUNK, CHUNK, 3]
 
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_out_file_equals_stdout(self, tmp_path, fmt):
