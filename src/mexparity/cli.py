@@ -20,9 +20,7 @@ the ceilings that keep a request within time and memory.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import os
 import sys
 from collections.abc import Iterable, Iterator
@@ -43,8 +41,6 @@ _COLUMNS = {
 def _cell(value, fmt: str) -> str:
     if type(value) is int:
         return str(value)
-    if fmt == "jsonl":
-        return json.dumps(value)
     if value is None:
         return "" if fmt == "csv" else "-"
     if isinstance(value, bool):
@@ -54,12 +50,21 @@ def _cell(value, fmt: str) -> str:
 
 def _render(kind: str, records: list[dict], fmt: str) -> str:
     columns = _COLUMNS[kind]
+    # json and csv are imported where they are used, not at start-up:
+    # `compute` and every table skip both
     if fmt == "jsonl":
-        # one %-template per kind
+        import json
+
+        # one %-template per kind; a cell that is not an int is its JSON text
         line = f'{{"kind":"{kind}"' + "".join(f',"{c}":%s' for c in columns) + "}\n"
-        rows = ([_cell(rec[c], fmt) for c in columns] for rec in records)
+        rows = (
+            [str(v) if type(v) is int else json.dumps(v) for v in map(rec.__getitem__, columns)]
+            for rec in records
+        )
         return "".join(line % tuple(row) for row in rows)
     if fmt == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(("kind",) + columns)

@@ -422,15 +422,56 @@ def _divisor_sums(order: int) -> list[int]:
 def _log_product(s: list[int], a: int, b: int) -> list[int]:
     # P = (q;q)^a (q^2;q^2)^b to the order of the divisor sums s, from P_0 = 1
     # and L = q P'/P = -a S(q) - 2b S(q^2): n P_n = conv_n for conv = L * P,
-    # which reads only P below n as L_0 = 0.  One slice pass per nonzero P_n,
-    # about order^1.5 updates for a lacunary P; the division is exact.
+    # which reads only P below n as L_0 = 0; the division is exact.  conv is
+    # kept in packed 64-bit slots, doubled in width until no slot can
+    # overflow: one C-level multiply, shift and add per nonzero P_n, about
+    # order^1.5 slot updates for a lacunary P.
     log_derivative = [-a * v for v in s]
     log_derivative[::2] = [v - 2 * b * w for v, w in zip(log_derivative[::2], s)]
-    p, conv = [0] * len(s), [0] * len(s)
-    for n in range(len(s)):
-        p[n] = c = conv[n] // n if n else 1
-        if c:
-            conv[n:] = [v + c * w for v, w in zip(conv[n:], log_derivative)]
+    width = 64
+    while (p := _slot_recurrence(log_derivative, width)) is None:
+        width *= 2
+    return p
+
+
+def _slot_recurrence(log_derivative: list[int], width: int) -> list[int] | None:
+    # conv is one int of width-bit slots m = lo, lo + 1, ..., each holding
+    # conv_m plus a bias of 2^(width-1), so that no borrow crosses a slot
+    # and each reads back exactly.  A nonzero P_n adds P_n L to the slots
+    # above n in one multiply and shift; slots at and past the order take
+    # what spills over and are never read, as carries only move up.  The
+    # slots are read 64 at a time: the block XOR its biased zeros is nonzero
+    # exactly at the n with conv_n = n P_n nonzero, and the block is read
+    # again after each push, which changes its later slots.  Every slot is a
+    # partial sum of P_j L_(m-j), at most mass = sum |P_j| times max |L| in
+    # size: None once that could reach 2^(width-1).
+    order, size, half = len(log_derivative), width // 8, 1 << (width - 1)
+    peak = max(map(abs, log_derivative))
+    if peak >= half:
+        return None
+    zeros = int.from_bytes(half.to_bytes(size, "little") * order, "little")
+    # one growing buffer, not a bytes object per slot
+    biased = bytearray()
+    for v in log_derivative:
+        biased += (v + half).to_bytes(size, "little")
+    packed = int.from_bytes(biased, "little") - zeros
+    # P_0 = 1 is pushed before the first read
+    p, conv, mass, slot = [1] + [0] * (order - 1), zeros + packed, 1, (1 << width) - 1
+    for lo in range(0, order, 64):
+        # only L below order - lo reaches a slot below the order
+        packed &= (1 << (width * (order - lo))) - 1
+        mask = (1 << (width * min(64, order - lo))) - 1
+        zero = zeros & mask
+        found = (block := conv & mask) ^ zero
+        while found:
+            k = ((found & -found).bit_length() - 1) // width
+            p[lo + k] = c = (((block >> (width * k)) & slot) - half) // (lo + k)
+            mass += abs(c)
+            if mass * peak >= half:
+                return None
+            conv += (c * packed) << (width * k)
+            found = ((block := conv & mask) ^ zero) >> (width * (k + 1)) << (width * (k + 1))
+        conv >>= width * 64
     return p
 
 

@@ -3,7 +3,8 @@
 These deliberately avoid the library's own algorithms: partition counts
 come from the classic coin-style dynamic program, products from naive
 schoolbook convolution, quotients from a coefficient-at-a-time
-back-substitution, the two characterizations' predicates from explicit
+back-substitution, the identity suite's products from their recurrence
+over a running array, the two characterizations' predicates from explicit
 searches over k, and t-core counts from the hook lengths of every
 partition.  The Euler product is multiplied out one binomial
 factor at a time, independently of the pentagonal form the library uses
@@ -65,6 +66,21 @@ def back_substitution(num, den, order):
             s -= v * r[n - k]
         r[n] = s if c0 == 1 else -s
     return r
+
+
+def log_product_by_rows(s, a, b):
+    """(q;q)^a (q^2;q^2)^b to the order of the divisor sums s, by the
+    recurrence n P_n = sum_{k>=1} L_k P_{n-k} with L = -a S(q) - 2b S(q^2),
+    kept as a running array: one slice pass over the convolution's tail per
+    nonzero P_n.  The library keeps the convolution in packed slots."""
+    log_derivative = [-a * v for v in s]
+    log_derivative[::2] = [v - 2 * b * w for v, w in zip(log_derivative[::2], s)]
+    p, conv = [0] * len(s), [0] * len(s)
+    for n in range(len(s)):
+        p[n] = c = conv[n] // n if n else 1
+        if c:
+            conv[n:] = [v + c * w for v, w in zip(conv[n:], log_derivative)]
+    return p
 
 
 def euler_product_by_factors(step: int, order: int) -> list[int]:

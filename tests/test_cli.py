@@ -259,10 +259,13 @@ class TestUsage:
         assert target.read_text() == "kept\n"
 
     def test_import_path_has_no_click_dataclasses_or_inspect(self):
-        # each of these costs 10-20 ms at every start; only the modules that
-        # importing the CLI adds are counted, not what site hooks load
+        # each of the first three costs 10-20 ms at every start, json and csv
+        # about 3 ms together, and only jsonl or csv records use those two;
+        # only the modules that importing the CLI adds are counted, not what
+        # site hooks load
         code = ("import sys; before = set(sys.modules); import mexparity.cli; "
-                "print(sorted({'click', 'dataclasses', 'inspect'} & set(sys.modules) - before))")
+                "print(sorted({'click', 'dataclasses', 'inspect', 'json', 'csv'} "
+                "& set(sys.modules) - before))")
         out = subprocess.run([sys.executable, "-c", code], env=child_env(),
                              capture_output=True, text=True, check=True).stdout
         assert out == "[]\n"

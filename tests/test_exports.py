@@ -116,7 +116,7 @@ def test_no_module_imports_a_private_name_of_another():
         # the identity suite's divisor sums, products and comparison, which
         # take plain coefficient lists and tuples
         ("_divisor_sums", set()),
-        ("_log_product", set()),
+        ("_log_product", {"_slot_recurrence"}),
         ("_identity_report", set()),
     ],
 )

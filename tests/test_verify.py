@@ -47,6 +47,7 @@ from oracles import (
     crank_rank_tallies_by_partition,
     euler_product_by_factors,
     literal_euler_product,
+    log_product_by_rows,
     partition_counts,
     pent_type_by_search,
     product_form,
@@ -667,6 +668,28 @@ class TestIdentitySuites:
             monkeypatch.setattr(verify, name, closed_form)
         assert tuple(rebuilt_product(1, 0, 200)) == factor_oracle(1)[:200]
         assert tuple(rebuilt_product(0, 1, 200)) == factor_oracle(2)[:200]
+
+    @given(
+        st.integers(1, 300) | st.sampled_from([63, 64, 65, 127, 128, 129]),
+        st.integers(-4, 4),
+        st.integers(-4, 4),
+    )
+    def test_packed_slots_match_the_running_array(self, order, a, b):
+        # orders 63 to 65 and 127 to 129 end the slots just before, on and
+        # just after the edge of a block of 64; from order 64 on, some dense
+        # products (a < 0) outgrow 64-bit slots, and at 300 some outgrow 128
+        s = verify._divisor_sums(order)
+        assert verify._log_product(s, a, b) == log_product_by_rows(s, a, b)
+
+    def test_suite_products_at_the_ceiling_match_the_running_array(self):
+        s = verify._divisor_sums(verify.IDENTITY_CEILING)
+        for a, b in ((1, 0), (3, 0), (-1, 2)):
+            assert verify._log_product(s, a, b) == log_product_by_rows(s, a, b)
+
+    def test_widened_slots_give_the_partition_counts(self):
+        # 1/(q;q): p(n) passes 2^63 at n = 406, past what a 64-bit slot holds
+        assert partition_counts(600)[406] > 2**63 > partition_counts(600)[405]
+        assert rebuilt_product(-1, 0, 600) == partition_counts(600)
 
     @given(st.integers(1, 300))
     def test_dilated_product_matches_step2_oracle(self, order):
