@@ -21,6 +21,7 @@ from functools import lru_cache
 
 from .errors import OrderLimitError
 from .series import (
+    INTEGERS,
     MOD2,
     TruncatedSeries,
     alternating_triangular,
@@ -66,7 +67,7 @@ def ptt_series(t: int, order: int) -> TruncatedSeries:
             f"integer series order {order} exceeds the ceiling {INT_ORDER_CEILING}; "
             "use the mod-2 series for larger orders"
         )
-    return series_div(alternating_triangular(t, order), euler_product(1, 1, order))
+    return series_div(alternating_triangular(t, order), euler_product(1, order, domain=INTEGERS))
 
 
 # memoized: `verify --suite all` asks for 11 keys and hits 4 times in 15
@@ -87,7 +88,7 @@ def _times_euler_power_mod2(s: TruncatedSeries, step: int, power: int) -> Trunca
     # bit of power: squaring is a dilation, so no dense power is formed
     for i in range(power.bit_length()):
         if power >> i & 1:
-            s = series_mul(s, euler_product(step << i, 1, s.order, MOD2))
+            s = series_mul(s, euler_product(step << i, s.order, domain=MOD2))
     return s
 
 

@@ -12,18 +12,18 @@ int used as a bitmask (bit n = coefficient of q^n).  Other modules read a
 GF(2) series only through its public digit string, q^0 first (.digits):
 slices of it are progressions and str.find steps through its odd
 coefficients.  Every product the package forms has a sparse side (a
-pentagonal or triangular series or a dilation of one), so there is one
-multiplication route per domain: shift-XOR over the sparser operand for
-GF(2), a convolution over the nonzero terms for the integers.  The one
-quotient, series_div, is integer-only, a back-substitution over the
-nonzero terms of the divisor, solved a block of coefficients at a time:
-the terms at least a block away read only finished blocks and enter as
-column sums.  The one GF(2) quotient the package needs,
-R = 1/(q;q)_inf, is built by partition_parity as R(q) = psi(q) * R(q^4).
+pentagonal or triangular series or a dilation of one), and there are two
+routes, one per domain.  The one product, series_mul, is GF(2)-only,
+shift-XOR over the sparser operand.  The one quotient, series_div, is
+integer-only, a back-substitution over the nonzero terms of the divisor,
+solved a block of coefficients at a time: the terms at least a block away
+read only finished blocks and enter as column sums.  The one GF(2)
+quotient the package needs, R = 1/(q;q)_inf, is built by partition_parity
+as R(q) = psi(q) * R(q^4).
 
 The module also provides constructors for the classical series this
-package is built around: the Euler product (q^s;q^s)_inf and its powers,
-the pentagonal-number expansion of (q;q)_inf, Jacobi's expansion of
+package is built around: the Euler product (q^s;q^s)_inf, the
+pentagonal-number expansion of (q;q)_inf, Jacobi's expansion of
 (q;q)_inf^3, the triangular-number theta series psi(q), and the
 alternating triangular sum that generates the mex-based partition counts.
 """
@@ -31,8 +31,8 @@ alternating triangular sum that generates the mex-based partition counts.
 from __future__ import annotations
 
 import enum
-from functools import lru_cache, reduce
-from itertools import count, repeat, takewhile
+from functools import lru_cache
+from itertools import count, takewhile
 from operator import index
 from typing import Iterable, Iterator, Sequence
 
@@ -134,10 +134,6 @@ class TruncatedSeries:
         """The multiplicative identity 1, truncated at `order`."""
         return _from_terms(((0, 1),), order, domain)
 
-    @classmethod
-    def zero(cls, order: int, domain: Domain = INTEGERS) -> "TruncatedSeries":
-        return _from_terms((), order, domain)
-
     # -- coefficient access ------------------------------------------------
 
     def coeff(self, n: int) -> int:
@@ -200,21 +196,22 @@ def nonzero_indices(s: TruncatedSeries) -> Iterator[int]:
 
 
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Product of two series over the same domain.
+    """Product of two GF(2) series, exact through min(a.order, b.order).
 
-    The result order is min(a.order, b.order); coefficient k is the full
-    convolution sum over i+j = k.
+    Over the integers the one operation is the quotient series_div.
     """
-    if a.domain is not b.domain:
-        raise ValueError(f"domain mismatch: {a.domain.value} * {b.domain.value}")
+    if a.domain is not MOD2 or b.domain is not MOD2:
+        raise ValueError(
+            f"series_mul is GF(2)-only, got {a.domain.value} * {b.domain.value}; "
+            "over the integers the one operation is series_div"
+        )
     order = min(a.order, b.order)
-    mul = _gf2_mul if a.domain is MOD2 else _int_mul
-    return TruncatedSeries._make(mul(a._data, b._data, order), order, a.domain)
+    return TruncatedSeries._make(_gf2_mul(a._data, b._data, order), order, MOD2)
 
 
 def series_div(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:
     """Quotient num / den over the integers, exact through min(num.order,
-    den.order): the series r with series_mul(r, den) == num.  The constant
+    den.order): the series r with r * den == num.  The constant
     term of den must be +-1.  Over GF(2) the one quotient is partition_parity.
     """
     if num.domain is not den.domain:
@@ -229,29 +226,24 @@ def series_div(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:
 
 
 def series_recip(a: TruncatedSeries) -> TruncatedSeries:
-    """Inverse series_div(1, a) of an integer series: series_mul(a, result) == 1."""
+    """Inverse series_div(1, a) of an integer series: a * result == 1."""
     return series_div(TruncatedSeries.one(a.order, a.domain), a)
 
 
-def euler_product(step: int, power: int, order: int, domain: Domain = INTEGERS) -> TruncatedSeries:
-    """The infinite product prod_{k>=1} (1 - q^(step*k)) raised to `power` >= 0.
+def euler_product(step: int, order: int, *, domain: Domain = INTEGERS) -> TruncatedSeries:
+    """The infinite product (q^step;q^step)_inf = prod_{k>=1} (1 - q^(step*k)).
 
-    The base product is the pentagonal-number expansion (the terms of
-    euler_pentagonal) dilated by `step`, so it has O(sqrt(order/step))
-    nonzero terms; over GF(2) their bits are set directly.  A power is
-    formed by repeated multiplication with that sparse base, and power = 0
-    gives the identity series.  1/(q;q) is series_recip or partition_parity.
-    The product of binomial factors is kept out of this path; the identity
-    suite rebuilds it independently from its logarithmic derivative.
+    It is the pentagonal-number expansion (the terms of euler_pentagonal)
+    dilated by `step`, so it has O(sqrt(order/step)) nonzero terms; over
+    GF(2) their bits are set directly.  A power over GF(2) is one such
+    factor per set bit of the exponent, since squaring is a dilation.
+    1/(q;q) is series_recip or partition_parity.  The product of binomial
+    factors is kept out of this path; the identity suite rebuilds it
+    independently from its logarithmic derivative.
     """
     if step < 1:
         raise ValueError("step must be a positive integer")
-    if power < 0:
-        raise ValueError(f"power must be >= 0, got {power}")
-    if power == 0:
-        return TruncatedSeries.one(order, domain)
-    base = _from_terms(((step * e, c) for e, c in _pentagonal_terms()), order, domain)
-    return reduce(series_mul, repeat(base, power - 1), base)
+    return _from_terms(((step * e, c) for e, c in _pentagonal_terms()), order, domain)
 
 
 # 4 entries: `verify --suite all` asks for 3 orders, the bound shared by
@@ -406,21 +398,6 @@ def _gf2_mul(a: int, b: int, order: int) -> int:
 # ---------------------------------------------------------------------------
 # integer kernels: a series is a tuple of Python ints
 # ---------------------------------------------------------------------------
-
-
-def _int_mul(a: Sequence[int], b: Sequence[int], order: int) -> tuple[int, ...]:
-    nza = [(i, v) for i, v in enumerate(a[:order]) if v]
-    nzb = [(i, v) for i, v in enumerate(b[:order]) if v]
-    if len(nzb) < len(nza):
-        nza, nzb = nzb, nza
-    acc = [0] * order
-    for i, av in nza:
-        for j, bv in nzb:
-            k = i + j
-            if k >= order:
-                break
-            acc[k] += av * bv
-    return tuple(acc)
 
 
 # coefficients per block of _int_div: ptt_series(3, 10^4) and the t-core

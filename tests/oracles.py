@@ -51,6 +51,15 @@ def schoolbook_mul(a, b, order):
     return out
 
 
+def schoolbook_power(base, power, order):
+    """base^power truncated at `order`, by repeated schoolbook_mul with base
+    as the outer factor, whose zero terms are skipped."""
+    out = [1] + [0] * (order - 1)
+    for _ in range(power):
+        out = schoolbook_mul(base, out, order)
+    return out
+
+
 def back_substitution(num, den, order):
     """num / den through q^(order-1), one coefficient at a time, for den
     with constant term +-1: r[n] = (num[n] - sum_{k>=1} den[k] r[n-k]) / den[0]

@@ -282,7 +282,7 @@ class TestCeilings:
         ],
     )
     def test_limit_past_the_mod2_ceiling_is_a_usage_error(self, monkeypatch, args):
-        def no_build(*a):
+        def no_build(*a, **kw):
             raise AssertionError("something was built past the ceiling")
 
         # partition_parity is the check for compute, and it would build R

@@ -21,10 +21,9 @@ from mexparity.series import (
     euler_product,
     partition_parity,
     series_div,
-    series_mul,
 )
 from mexparity.verify import verify_dissection_identities
-from oracles import a_t_direct, product_form, product_form_mod2
+from oracles import a_t_direct, product_form, product_form_mod2, schoolbook_mul, schoolbook_power
 
 
 class TestPttSeries:
@@ -64,7 +63,7 @@ class TestIntOrderCeiling:
 
     @pytest.mark.parametrize("make, t", [(ptt_series, 3)])
     def test_past_the_ceiling_raises_before_building(self, monkeypatch, make, t):
-        def no_build(*args):
+        def no_build(*args, **kwargs):
             raise AssertionError("a series was built past the ceiling")
 
         monkeypatch.setattr(genfun, "euler_product", no_build)
@@ -78,14 +77,18 @@ class TestIntOrderCeiling:
 
     @pytest.mark.parametrize("t", [1, 3])
     def test_times_euler_at_the_ceiling_gives_the_numerator(self, t):
-        # the product kernel shares no code with the quotient kernel
+        # a schoolbook product, over the sparse (q;q) first, shares no code
+        # with the quotient kernel
         n = INT_ORDER_CEILING
-        assert series_mul(ptt_series(t, n), euler_product(1, 1, n)) == alternating_triangular(t, n)
+        product = schoolbook_mul(euler_product(1, n).coeffs, ptt_series(t, n).coeffs, n)
+        assert tuple(product) == alternating_triangular(t, n).coeffs
 
     def test_tcore_at_the_ceiling_agrees_with_mod2_route(self):
-        # the integer t-core quotient (q^2;q^2)^2 / (q;q), reduced mod 2
+        # the integer t-core quotient (q^2;q^2)^2 / (q;q), reduced mod 2; its
+        # numerator is the sparse (q^2;q^2) squared by schoolbook_mul
         n = INT_ORDER_CEILING
-        quotient = series_div(euler_product(2, 2, n), euler_product(1, 1, n))
+        numerator = schoolbook_power(euler_product(2, n).coeffs, 2, n)
+        quotient = series_div(TruncatedSeries(numerator), euler_product(1, n))
         assert tuple(c % 2 for c in quotient.coeffs) == acore_mod2_series(2, n).coeffs
 
 
@@ -94,7 +97,7 @@ class TestMod2OrderCeiling:
         "make, t", [(ptt_mod2_series, 3), (acore_mod2_series, 5), (dissection_identity_check, 7)]
     )
     def test_past_the_ceiling_raises_before_building(self, monkeypatch, make, t):
-        def no_build(*args):
+        def no_build(*args, **kwargs):
             raise AssertionError("a series was built past the ceiling")
 
         monkeypatch.setattr(genfun, "euler_product", no_build)
@@ -162,9 +165,11 @@ class TestAcoreSeries:
     # are the hook-length oracle and the literal product (q^t;q^t)^t / (q;q)
     @given(st.integers(2, 25), st.integers(1, 300))
     def test_matches_power_product(self, t, order):
-        # the t-core quotient, one series_div of the sparse-built numerator,
-        # against the product multiplied out literally, over the integers
-        quotient = series_div(euler_product(t, t, order), euler_product(1, 1, order))
+        # the t-core quotient, one series_div of the sparse (q^t;q^t) to the
+        # power t, against the product multiplied out literally, over the
+        # integers
+        numerator = schoolbook_power(euler_product(t, order).coeffs, t, order)
+        quotient = series_div(TruncatedSeries(numerator), euler_product(1, order))
         assert list(quotient.coeffs) == product_form(t, t, order)
 
     def test_t3_prefix(self):
