@@ -27,7 +27,7 @@ from collections.abc import Iterable, Iterator
 
 from . import genfun, verify
 from .errors import LimitError
-from .series import MOD2, TruncatedSeries
+from .series import TruncatedSeries
 
 CHUNK = 1 << 14  # rows per chunk that `compute` renders and writes at a time
 
@@ -77,25 +77,27 @@ def _render(kind: str, records: list[dict], fmt: str) -> str:
     return "".join(line.format(*row).rstrip() + "\n" for row in zip(*[iter(cells)] * k))
 
 
-def _coefficient_chunks(t: int, series: TruncatedSeries, fmt: str) -> Iterator[str]:
-    # The bytes of _render("coefficient", ...), CHUNK rows at a time: the
-    # t and n column widths follow from t and the order alone, and value is
-    # the last column, so the table's rstrip drops all of its padding.
+def _coefficient_chunks(t: int, series: tuple | TruncatedSeries, fmt: str) -> Iterator[str]:
+    # The bytes of _render("coefficient", ...), CHUNK rows at a time, from a
+    # coefficient tuple or a GF(2) series (itself a tuple, so isinstance):
+    # the t and n column widths follow from t and the order alone, and value
+    # is the last column, so the table's rstrip drops all of its padding.
+    gf2 = isinstance(series, TruncatedSeries)
+    order = series.order if gf2 else len(series)
     if fmt == "jsonl":
         line = '{{"kind":"coefficient","t":%d,"n":{},"value":{}}}\n' % t
     elif fmt == "csv":
         yield "kind,t,n,value\n"
         line = "coefficient,%d,{},{}\n" % t
     else:
-        wn = len(str(series.order - 1))
+        wn = len(str(order - 1))
         yield f"{'t':<{len(str(t))}}  {'n':<{wn}}  value\n"
         line = "%d  {:<%d}  {}\n" % (t, wn)
-    if series.domain is not MOD2:
+    if not gf2:
         # values of any width: one format call per row, at most 10^4 rows
-        coeffs = series.coeffs
-        for lo in range(0, series.order, CHUNK):
-            hi = min(lo + CHUNK, series.order)
-            yield "".join(map(line.format, range(lo, hi), coeffs[lo:hi]))
+        for lo in range(0, order, CHUNK):
+            hi = min(lo + CHUNK, order)
+            yield "".join(map(line.format, range(lo, hi), series[lo:hi]))
         return
     # Over GF(2) every value is one digit, so the rows of a run [a, b) of
     # d-digit indices all have the width w of row a: the run is that row
@@ -105,8 +107,8 @@ def _coefficient_chunks(t: int, series: TruncatedSeries, fmt: str) -> Iterator[s
     probe = line.format("\0", "\1")
     at_n, tail = probe.index("\0"), len(probe) - probe.index("\1")
     digits = series.digits
-    for lo in range(0, series.order, CHUNK):
-        hi = min(lo + CHUNK, series.order)
+    for lo in range(0, order, CHUNK):
+        hi = min(lo + CHUNK, order)
         rows, a = [], lo
         while a < hi:
             d = len(str(a))

@@ -51,9 +51,9 @@ def _require_odd_t(t: int) -> None:
         raise ValueError(f"t must be an odd positive integer, got {t}")
 
 
-def ptt_series(t: int, order: int) -> TruncatedSeries:
-    """Integer series whose coefficient of q^n counts partitions of n with
-    mex_{t,t} congruent to t mod 2t.
+def ptt_series(t: int, order: int) -> tuple[int, ...]:
+    """Integer series, as a coefficient tuple, whose entry n counts the
+    partitions of n with mex_{t,t} congruent to t mod 2t.
 
     Computed as the alternating triangular sum at step t divided by the
     Euler product (q;q), one back-substitution over its pentagonal terms,

@@ -1,25 +1,22 @@
 """Truncated formal power series in one variable q.
 
-Two coefficient domains are supported: arbitrary-precision integers and
-GF(2) (coefficients modulo 2).  A series of order N stores the coefficients
-of q^0 .. q^(N-1) and every operation is exact through that window: as long
-as the inputs are exact to order N, so is the output.  Coefficients at or
-beyond the truncation order are unknown, not zero, and asking for them is
-an error.
+A series of order N holds the coefficients of q^0 .. q^(N-1), and every
+operation is exact through that window: as long as the inputs are exact
+to order N, so is the output.  Coefficients past it are unknown, not zero.
 
-Integer series are kept as coefficient tuples, GF(2) series as one Python
-int used as a bitmask (bit n = coefficient of q^n).  Other modules read a
-GF(2) series only through its public digit string, q^0 first (.digits):
-slices of it are progressions and str.find steps through its odd
-coefficients.  Every product the package forms has a sparse side (a
-pentagonal or triangular series or a dilation of one), and there are two
-routes, one per domain.  The one product, series_mul, is GF(2)-only,
-shift-XOR over the sparser operand.  The one quotient, series_div, is
-integer-only, a back-substitution over the nonzero terms of the divisor,
-solved a block of coefficients at a time: the terms at least a block away
-read only finished blocks and enter as column sums.  The one GF(2)
-quotient the package needs, R = 1/(q;q)_inf, is built by partition_parity
-as R(q) = psi(q) * R(q^4).
+Each coefficient domain has one representation.  An integer series is a
+plain tuple of its coefficients, q^0 first, so its order is its length.
+A GF(2) series is a TruncatedSeries, the NamedTuple (bits, order) whose
+bits is one Python int used as a bitmask (bit n = coefficient of q^n).
+Other modules read a GF(2) series only through its public digit string,
+q^0 first (.digits): slices of it are progressions and str.find steps
+through its odd coefficients.  Every product the package forms has a
+sparse side (a pentagonal or triangular series or a dilation of one), and
+each domain has one operation.  The product series_mul is GF(2)-only,
+shift-XOR over the sparser operand.  The quotient series_div is
+integer-only, a back-substitution over the nonzero terms of the divisor
+in blocks of coefficients.  The one GF(2) quotient the package needs,
+R = 1/(q;q)_inf, is built by partition_parity as R(q) = psi(q) * R(q^4).
 
 The module also provides constructors for the classical series this
 package is built around: the Euler product (q^s;q^s)_inf, the
@@ -34,7 +31,7 @@ import enum
 from functools import lru_cache
 from itertools import count, takewhile
 from operator import index
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import OrderLimitError
 
@@ -60,7 +57,7 @@ __all__ = [
 
 
 class Domain(enum.Enum):
-    """Coefficient domain of a TruncatedSeries."""
+    """Coefficient domain of a built series: a tuple or a TruncatedSeries."""
 
     INTEGERS = "integers"
     MOD2 = "mod2"
@@ -85,109 +82,46 @@ def checked_mod2_order(order: int) -> int:
     return order
 
 
-class TruncatedSeries:
-    """Immutable power series in q, exact through q^(order-1).
-
-    Instances are value objects: equality compares domain, order and all
-    stored coefficients.  They are safe to share between threads and to
-    cache; no operation in this module mutates its inputs.
-    """
-
-    __slots__ = ("order", "domain", "_data")
-
+class _Mod2Series(NamedTuple):
+    bits: int
     order: int
-    domain: Domain
 
-    def __new__(cls, coeffs: Iterable[int], domain: Domain = INTEGERS):
-        # index() takes ints and bools only: a float or a str is a TypeError;
-        # _from_terms checks the domain and the order, as for every series
-        data = tuple(map(index, coeffs))
-        if domain is MOD2:
-            for i, c in enumerate(data):
-                if c not in (0, 1):
-                    raise ValueError(f"Mod2 coefficients must be 0 or 1, got {c} at q^{i}")
-        return _from_terms(((i, c) for i, c in enumerate(data) if c), len(data), domain)
 
-    def __setattr__(self, name, *value):
-        raise AttributeError(f"TruncatedSeries is immutable: cannot set or delete {name!r}")
+class TruncatedSeries(_Mod2Series):
+    """GF(2) power series in q, exact through q^(order-1): bit n of bits is
+    the coefficient of q^n.  TruncatedSeries(bits, order) is the one checked
+    constructor; the builders in this module use the NamedTuple's _make."""
 
-    __delattr__ = __setattr__
+    __slots__ = ()
 
-    def __reduce__(self):
-        # copy and pickle rebuild through _make, not slot assignment
-        return TruncatedSeries._make, (self._data, self.order, self.domain)
+    # perfbench/tracer.py labels each series_mul call by args[0].domain and
+    # patches vars(TruncatedSeries)["coeffs"], so both live in this class
+    domain = MOD2
 
-    # -- alternate constructors -------------------------------------------
-
-    @classmethod
-    def _make(cls, data, order: int, domain: Domain) -> "TruncatedSeries":
-        # trusted internal path and the only writer of the slots: a MOD2
-        # bitmask < 2**order or an INTEGERS tuple of length order
-        self = object.__new__(cls)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "_data", data)
-        return self
-
-    @classmethod
-    def one(cls, order: int, domain: Domain = INTEGERS) -> "TruncatedSeries":
-        """The multiplicative identity 1, truncated at `order`."""
-        return _from_terms(((0, 1),), order, domain)
-
-    # -- coefficient access ------------------------------------------------
-
-    def coeff(self, n: int) -> int:
-        """Coefficient of q^n.  Indices at or past the order are unknown."""
-        if not 0 <= n < self.order:
-            raise IndexError(
-                f"coefficient q^{n} is outside the exact window [0, {self.order})"
-            )
-        if self.domain is MOD2:
-            return (self._data >> n) & 1
-        return self._data[n]
+    def __new__(cls, bits: int, order: int):
+        # O(1) checks: the order, its ceiling, and no bit at or past it
+        bits, order = index(bits), index(order)
+        if order < 1:
+            raise ValueError("order must be >= 1")
+        checked_mod2_order(order)
+        if bits < 0 or bits.bit_length() > order:
+            raise ValueError(f"bits must satisfy 0 <= bits < 2**{order}")
+        return super().__new__(cls, bits, order)
 
     @property
     def coeffs(self) -> tuple[int, ...]:
-        """All stored coefficients, q^0 first."""
-        if self.domain is MOD2:
-            return tuple(map(int, self.digits))
-        return self._data
-
-    @property
-    def bits(self) -> int:
-        """Bitmask view (bit n = coefficient of q^n); Mod2 series only."""
-        if self.domain is not MOD2:
-            raise ValueError("bitmask view is only defined for Mod2 series")
-        return self._data
+        """All coefficients as ints, q^0 first."""
+        return tuple(map(int, self.digits))
 
     @property
     def digits(self) -> str:
-        """Digit-string view ("0"s and "1"s, q^0 first); Mod2 series only."""
-        if self.domain is not MOD2:
-            raise ValueError("digit-string view is only defined for Mod2 series")
-        return format(self._data, f"0{self.order}b")[::-1]
-
-    # -- value semantics -----------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return (self.domain, self.order, self._data) == (other.domain, other.order, other._data)
-
-    def __hash__(self) -> int:
-        return hash((self.domain, self.order, self._data))
-
-    def __repr__(self) -> str:
-        head = ", ".join(str(self.coeff(n)) for n in range(min(8, self.order)))
-        tail = ", ..." if self.order > 8 else ""
-        return f"TruncatedSeries([{head}{tail}], order={self.order}, domain={self.domain.value})"
+        """Digit string ("0"s and "1"s), q^0 first."""
+        return format(self.bits, f"0{self.order}b")[::-1]
 
 
 def nonzero_indices(s: TruncatedSeries) -> Iterator[int]:
     """Exponents n < order with a nonzero coefficient, in increasing order."""
-    if s.domain is MOD2:
-        return _ones(s.digits)
-    return (i for i, c in enumerate(s._data) if c)
+    return _ones(s.digits)
 
 
 # ---------------------------------------------------------------------------
@@ -200,37 +134,35 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
 
     Over the integers the one operation is the quotient series_div.
     """
-    if a.domain is not MOD2 or b.domain is not MOD2:
+    if not (isinstance(a, TruncatedSeries) and isinstance(b, TruncatedSeries)):
         raise ValueError(
-            f"series_mul is GF(2)-only, got {a.domain.value} * {b.domain.value}; "
+            f"series_mul is GF(2)-only, got {type(a).__name__} * {type(b).__name__}; "
             "over the integers the one operation is series_div"
         )
     order = min(a.order, b.order)
-    return TruncatedSeries._make(_gf2_mul(a._data, b._data, order), order, MOD2)
+    return TruncatedSeries._make((_gf2_mul(a.bits, b.bits, order), order))
 
 
-def series_div(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:
-    """Quotient num / den over the integers, exact through min(num.order,
-    den.order): the series r with r * den == num.  The constant
-    term of den must be +-1.  Over GF(2) the one quotient is partition_parity.
+def series_div(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[int, ...]:
+    """Quotient num / den of integer series, exact through min(len(num),
+    len(den)): the series r with r * den == num.  The constant term of den
+    must be +-1.  Over GF(2) the one quotient is partition_parity.
     """
-    if num.domain is not den.domain:
-        raise ValueError(f"domain mismatch: {num.domain.value} / {den.domain.value}")
-    if den.domain is MOD2:
-        raise ValueError("series_div is integer-only; 1/(q;q) mod 2 is partition_parity")
-    order = min(num.order, den.order)
-    c0 = den._data[0]
-    if c0 not in (1, -1):
-        raise ValueError(f"constant term must be +-1 to divide over the integers, got {c0}")
-    return TruncatedSeries._make(_int_div(num._data, den._data, order), order, INTEGERS)
+    # a TruncatedSeries is itself a tuple, (bits, order), so it is named here
+    if isinstance(num, TruncatedSeries) or isinstance(den, TruncatedSeries):
+        raise ValueError(
+            f"series_div is integer-only, got {type(num).__name__} / {type(den).__name__}; "
+            "1/(q;q) mod 2 is partition_parity"
+        )
+    return _int_div(num, den, min(len(num), len(den)))
 
 
-def series_recip(a: TruncatedSeries) -> TruncatedSeries:
+def series_recip(a: tuple[int, ...]) -> tuple[int, ...]:
     """Inverse series_div(1, a) of an integer series: a * result == 1."""
-    return series_div(TruncatedSeries.one(a.order, a.domain), a)
+    return series_div((1,) + (0,) * (len(a) - 1), a)
 
 
-def euler_product(step: int, order: int, *, domain: Domain = INTEGERS) -> TruncatedSeries:
+def euler_product(step: int, order: int, *, domain: Domain = INTEGERS) -> tuple | TruncatedSeries:
     """The infinite product (q^step;q^step)_inf = prod_{k>=1} (1 - q^(step*k)).
 
     It is the pentagonal-number expansion (the terms of euler_pentagonal)
@@ -268,11 +200,11 @@ def partition_parity(order: int) -> TruncatedSeries:
     for n in reversed(orders[:-1]):
         # bit i of R(q) is bit 4i of R(q^4): "000" between every two digits
         r4 = int("000".join(format(bits, "b")), 2)
-        bits = _gf2_mul(alternating_triangular(1, n, MOD2)._data, r4, n)
-    return TruncatedSeries._make(bits, order, MOD2)
+        bits = _gf2_mul(alternating_triangular(1, n, MOD2).bits, r4, n)
+    return TruncatedSeries._make((bits, order))
 
 
-def euler_pentagonal(order: int) -> TruncatedSeries:
+def euler_pentagonal(order: int) -> tuple[int, ...]:
     """Pentagonal-number expansion of (q;q)_inf.
 
     Sum over all integers n of (-1)^n q^(n(3n-1)/2); the exponents with
@@ -283,13 +215,13 @@ def euler_pentagonal(order: int) -> TruncatedSeries:
     return _from_terms(_pentagonal_terms(), order)
 
 
-def jacobi_cube(order: int) -> TruncatedSeries:
+def jacobi_cube(order: int) -> tuple[int, ...]:
     """Jacobi's expansion of (q;q)_inf^3: sum of (-1)^n (2n+1) q^(n(n+1)/2)."""
     terms = ((n * (n + 1) // 2, (2 * n + 1) * (-1 if n & 1 else 1)) for n in count())
     return _from_terms(terms, order)
 
 
-def alternating_triangular(t: int, order: int, domain: Domain = INTEGERS) -> TruncatedSeries:
+def alternating_triangular(t: int, order: int, domain: Domain = INTEGERS) -> tuple | TruncatedSeries:
     """The alternating sum of (-1)^n q^(t*n(n+1)/2) over n >= 0 (psi(q^t) mod 2)."""
     if t < 1:
         raise ValueError("t must be a positive integer")
@@ -297,7 +229,7 @@ def alternating_triangular(t: int, order: int, domain: Domain = INTEGERS) -> Tru
     return _from_terms(terms, order, domain)
 
 
-def theta_psi(order: int) -> TruncatedSeries:
+def theta_psi(order: int) -> tuple[int, ...]:
     """Ramanujan's theta series psi(q) = sum of q^(n(n+1)/2).
 
     The indicator series of the triangular numbers; as a product it equals
@@ -317,30 +249,26 @@ def _pentagonal_terms() -> Iterator[tuple[int, int]]:
 
 def _from_terms(
     terms: Iterable[tuple[int, int]], order: int, domain: Domain = INTEGERS
-) -> TruncatedSeries:
-    # the series with the given (exponent, coefficient) terms; exponents must
-    # increase, and the first one at or past `order` ends the (possibly
-    # infinite) stream.  Every series is checked and laid out here: a domain
-    # that is not a Domain would pass every `is MOD2` branch as the integers
+) -> tuple | TruncatedSeries:
+    # the series of (exponent, coefficient) terms with increasing exponents,
+    # cut at the first exponent >= order; the one function that reads a Domain
     if order < 1:
         raise ValueError("order must be >= 1")
-    if not isinstance(domain, Domain):
-        raise TypeError(f"domain must be a Domain, got {domain!r}")
+    window = takewhile(lambda term: term[0] < order, terms)
     if domain is MOD2:
         checked_mod2_order(order)
-    window = list(takewhile(lambda term: term[0] < order, terms))
-    if domain is MOD2:
-        bits = _bits_of((e for e, c in window if c & 1), order)
-        return TruncatedSeries._make(bits, order, MOD2)
+        return TruncatedSeries._make((_bits_of((e for e, c in window if c & 1), order), order))
+    if domain is not INTEGERS:
+        raise TypeError(f"domain must be a Domain, got {domain!r}")
     c = [0] * order
     for e, v in window:
         c[e] = v
-    return TruncatedSeries._make(tuple(c), order, INTEGERS)
+    return tuple(c)
 
 
 def dissect(s: TruncatedSeries, modulus: int, residue: int) -> TruncatedSeries:
-    """Arithmetic-progression slice: coefficient n of the result is
-    coefficient modulus*n + residue of `s`.
+    """Arithmetic-progression slice of a GF(2) series: coefficient n of the
+    result is coefficient modulus*n + residue of `s`.
 
     The result order is ceil((s.order - residue) / modulus), i.e. exactly
     the coefficients of the progression that lie inside the exact window.
@@ -355,10 +283,7 @@ def dissect(s: TruncatedSeries, modulus: int, residue: int) -> TruncatedSeries:
             f"series of order {s.order} has no exact coefficients in the "
             f"progression {modulus}n + {residue}"
         )
-    if s.domain is MOD2:
-        # the same slice as the integer path, over the digit string
-        return TruncatedSeries._make(int(s.digits[residue::modulus][::-1], 2), new_order, MOD2)
-    return TruncatedSeries._make(s._data[residue::modulus], new_order, INTEGERS)
+    return TruncatedSeries._make((int(s.digits[residue::modulus][::-1], 2), new_order))
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +341,8 @@ def _int_div(num: Sequence[int], den: Sequence[int], order: int) -> tuple[int, .
     # with lo < k < hi reaches only r[:hi-k], zero-padded in front.  The near
     # terms (k < _BLOCK) are then substituted one coefficient at a time.
     c0 = den[0]
+    if c0 not in (1, -1):
+        raise ValueError(f"constant term must be +-1 to divide over the integers, got {c0}")
     near = []
     far: dict[int, list[int]] = {}
     for k in range(1, order):

@@ -501,9 +501,9 @@ def verify_series_identities(order: int) -> list[VerificationReport]:
     s = _divisor_sums(order)
     euler, cube, psi = (_log_product(s, a, b) for a, b in ((1, 0), (3, 0), (-1, 2)))
     return [
-        _identity_report("euler-pentagonal-identity", order, euler_pentagonal(order).coeffs, euler),
-        _identity_report("jacobi-cube-identity", order, jacobi_cube(order).coeffs, cube),
-        _identity_report("theta-psi-identity", order, theta_psi(order).coeffs, psi),
+        _identity_report("euler-pentagonal-identity", order, euler_pentagonal(order), euler),
+        _identity_report("jacobi-cube-identity", order, jacobi_cube(order), cube),
+        _identity_report("theta-psi-identity", order, theta_psi(order), psi),
     ]
 
 

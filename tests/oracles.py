@@ -24,6 +24,13 @@ from itertools import islice
 from operator import sub
 
 from mexparity.partitions import MexSpec, crank, enumerate_partitions, rank
+from mexparity.series import TruncatedSeries
+
+
+def gf2_series(digits: str) -> TruncatedSeries:
+    """The GF(2) series with the given digit string ("0"s and "1"s, q^0
+    first), built through the public constructor."""
+    return TruncatedSeries(int(digits[::-1], 2), len(digits))
 
 
 def partition_counts(limit: int) -> list[int]:

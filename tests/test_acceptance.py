@@ -77,7 +77,7 @@ def test_criterion_4_series_matches_enumeration():
         series = ptt_series(t, 36)
         spec = MexSpec(t, t)
         for n in range(36):
-            if series.coeff(n) != p_direct(spec, n):
+            if series[n] != p_direct(spec, n):
                 failures.append((t, n))
     _criterion(
         4,
@@ -127,7 +127,7 @@ def test_criterion_8_tcore_oracle_and_congruences():
         (t, n)
         for t in (3, 5, 7)
         for n in range(26)
-        if acore_mod2_series(t, 26).coeff(n) != a_t_direct(t, n) % 2
+        if acore_mod2_series(t, 26).coeffs[n] != a_t_direct(t, n) % 2
     ]
     # the order-10^4 parity sweep runs on the GF(2) product route; pin it to
     # the literal product (q^t;q^t)^t / (q;q) first, so that sweep speaks for

@@ -16,7 +16,7 @@ import mexparity
 from mexparity import genfun, series, verify
 from mexparity.cli import CHUNK, _coefficient_chunks, _render, main
 from mexparity.genfun import ptt_mod2_series, ptt_series
-from mexparity.series import MOD2, TruncatedSeries
+from mexparity.series import TruncatedSeries
 
 
 def run(*args, env=None):
@@ -94,8 +94,8 @@ class TestCompute:
         assert result.exit_code == 0
         assert result.output == run("compute", "--t", "5", "--limit", "12", domain).output
         values = [int(line.split()[-1]) for line in result.output.splitlines()[1:]]
-        series = ptt_series(5, 12) if domain == "--int" else ptt_mod2_series(5, 12)
-        assert values == list(series.coeffs)
+        series = ptt_series(5, 12) if domain == "--int" else ptt_mod2_series(5, 12).coeffs
+        assert values == list(series)
 
     def test_closed_pipe_exits_one_without_a_traceback(self):
         # the reader takes one line and goes away while rows are still coming
@@ -353,10 +353,10 @@ FORMATS = ("table", "jsonl", "csv")
 
 
 def render_records(t, series, fmt):
-    """Reference bytes for `compute`: one dict per coefficient, rendered
-    as a whole by `_render`."""
-    coeffs = series.coeffs
-    records = [{"t": t, "n": n, "value": coeffs[n]} for n in range(series.order)]
+    """Reference bytes for `compute`: one dict per coefficient of an integer
+    tuple or a GF(2) series, rendered as a whole by `_render`."""
+    coeffs = series.coeffs if isinstance(series, TruncatedSeries) else series
+    records = [{"t": t, "n": n, "value": c} for n, c in enumerate(coeffs)]
     return _render("coefficient", records, fmt)
 
 
@@ -386,7 +386,7 @@ class TestStreamedCompute:
     def test_integer_chunks_past_a_chunk_edge(self, fmt, limit):
         # --int is capped below CHUNK and ptt_series past it is slow, so
         # signed values that differ at every index stand in for it here
-        series = TruncatedSeries([n * (-1) ** n for n in range(limit)])
+        series = tuple(n * (-1) ** n for n in range(limit))
         assert "".join(_coefficient_chunks(7, series, fmt)) == render_records(7, series, fmt)
 
     @given(t=st.integers(0, 100).map(lambda k: 2 * k + 1),
@@ -397,8 +397,7 @@ class TestStreamedCompute:
     def test_random_bits_next_to_a_width_change(self, t, order, fmt, rng):
         # random bits differ from row to row, so a bit or a digit of n copied
         # one row or one column off shows; the real series' sparse bits may not
-        bits = format(rng.getrandbits(order), f"0{order}b")
-        series = TruncatedSeries(map(int, bits), MOD2)
+        series = TruncatedSeries(rng.getrandbits(order), order)
         assert "".join(_coefficient_chunks(t, series, fmt)) == render_records(t, series, fmt)
 
     @pytest.mark.parametrize("fmt", FORMATS)
@@ -508,3 +507,37 @@ class TestRenderGolden:
     @pytest.mark.parametrize("kind, fmt", sorted(GOLDEN_OUTPUT))
     def test_bytes_are_pinned(self, kind, fmt):
         assert _render(kind, GOLDEN_RECORDS[kind], fmt) == GOLDEN_OUTPUT[kind, fmt]
+
+
+class TestPerfbenchTracer:
+    # perfbench/tracer.py runs the CLI in-process and looks names of the
+    # package up: it labels each series_mul call by TruncatedSeries.domain,
+    # wraps the coeffs property found in TruncatedSeries's own class body
+    # and reads euler_product's keyword domain.  The tracer is run here as
+    # it is, never imported or edited, so a change to any of those names
+    # fails here and not only in the traced benchmark.
+    TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
+
+    @pytest.mark.parametrize(
+        "args, counted",
+        [
+            (("verify", "--suite", "theorem6", "--limit", "1000"),
+             ("series.series_mul.mod2.calls", "series.euler_product.mod2.calls")),
+            (("compute", "--t", "3", "--int", "--limit", "100"),
+             ("genfun.ptt_series.calls", "series.euler_product.int.calls")),
+        ],
+        ids=["theorem6", "compute-int"],
+    )
+    def test_traced_stdout_equals_the_untraced_cli(self, args, counted):
+        traced, plain = (
+            subprocess.run([sys.executable, *head, *args], capture_output=True, text=True,
+                           env=child_env(), timeout=120)
+            for head in ((self.TRACER,), ("-m", "mexparity.cli"))
+        )
+        assert (traced.returncode, plain.returncode) == (0, 0), traced.stderr
+        assert traced.stdout == plain.stdout != ""
+        [line] = [line for line in traced.stderr.splitlines() if line.startswith("PERFBENCH_TRACE ")]
+        stats = json.loads(line.removeprefix("PERFBENCH_TRACE "))
+        assert all(stats.get(key, 0) > 0 for key in counted), stats
+        # an integer series is a tuple and never passes through .coeffs
+        assert stats.get("series.coeffs.calls", 0) == 0

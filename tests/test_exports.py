@@ -70,24 +70,34 @@ def test_the_mod2_ceiling_is_compared_in_one_function():
 
 
 def test_series_are_checked_and_laid_out_in_one_function():
-    # the domain check is made once, in _from_terms, which the constructor
-    # and every named series build through
-    tree = ast.parse(Path(series.__file__).read_text())
-    functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    # each domain has one representation, so a Domain is compared in one
+    # function in src/, _from_terms, which every builder that takes a domain
+    # goes through; the GF(2) constructor checks its order through
+    # checked_mod2_order, in O(1) and without building anything
+    domain_names = {"Domain", "INTEGERS", "MOD2", "domain"}
 
-    def domain_checks(node):
+    def domain_compares(tree):
         return [
-            n
-            for n in ast.walk(node)
-            if isinstance(n, ast.Call)
-            and getattr(n.func, "id", None) == "isinstance"
-            and getattr(n.args[1], "id", None) == "Domain"
+            node
+            for node in ast.walk(tree)
+            if (
+                isinstance(node, ast.Compare)
+                or isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+            )
+            and any(getattr(n, "id", getattr(n, "attr", None)) in domain_names for n in ast.walk(node))
         ]
 
-    assert len(domain_checks(tree)) == len(domain_checks(functions["_from_terms"])) == 1
-    names = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(functions["__new__"])}
-    assert names & {"_bits_of", "_make"} == set()
-    assert "_from_terms" in names
+    paths = sorted(Path(mexparity.__file__).parent.glob("*.py"))
+    compares = [node for path in paths for node in domain_compares(ast.parse(path.read_text()))]
+    tree = ast.parse(Path(series.__file__).read_text())
+    functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert len(compares) == len(domain_compares(functions["_from_terms"])) > 0
+    new = functions["__new__"]
+    calls = {getattr(n.func, "id", None) for n in ast.walk(new) if isinstance(n, ast.Call)}
+    assert "checked_mod2_order" in calls
+    names = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(new)}
+    assert names & {"_bits_of", "_make", "_from_terms"} == set()
+    assert not any(isinstance(n, (ast.For, ast.While, ast.comprehension)) for n in ast.walk(new))
 
 
 def test_no_module_imports_a_private_name_of_another():
@@ -183,7 +193,7 @@ def test_every_export_has_a_caller():
     # every exported name is used by other code in src/, or is one the
     # perfbench tracer looks up by name (a string, attribute or import in
     # perfbench/tracer.py, which is read here, not imported).  Once the
-    # traced benchmark stops looking names up (ROADMAP item 4), this
+    # traced benchmark stops looking names up (ROADMAP item 6), this
     # allowance goes and the tracer's test-only names leave the library.
     src = Path(mexparity.__file__).parent
     used = set()

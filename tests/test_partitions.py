@@ -67,7 +67,7 @@ class TestEnumeration:
 
         series = series_recip(euler_product(1, 22))
         for n in range(22):
-            assert sum(1 for _ in enumerate_partitions(n)) == series.coeff(n)
+            assert sum(1 for _ in enumerate_partitions(n)) == series[n]
 
     def test_yields_valid_partitions_without_repeats(self):
         seen = set()

@@ -17,7 +17,6 @@ from mexparity.partitions import (
     p_direct,
 )
 from mexparity.series import (
-    MOD2,
     MOD2_ORDER_CEILING,
     TruncatedSeries,
     euler_pentagonal,
@@ -46,6 +45,7 @@ from mexparity.verify import (
 from oracles import (
     crank_rank_tallies_by_partition,
     euler_product_by_factors,
+    gf2_series,
     literal_euler_product,
     log_product_by_rows,
     partition_counts,
@@ -72,7 +72,7 @@ def planted(odd_by_t):
 
     def series(t, order):
         odd = odd_by_t.get(t, ())
-        return TruncatedSeries([1 if n in odd else 0 for n in range(order)], MOD2)
+        return TruncatedSeries(sum(1 << n for n in odd if n < order), order)
 
     return series
 
@@ -114,20 +114,20 @@ class TestPredicates:
     # coefficient of q^n is odd iff n is of pentagonal type (t = 1) or 3n+1
     # is a square (t = 3)
     def test_pent_type_examples(self):
-        s = ptt_mod2_series(1, 71)
-        assert s.coeff(2) == 1
-        assert s.coeff(1) == 0
-        assert s.coeff(70) == 1  # 12*70 + 1 = 29^2
+        s = ptt_mod2_series(1, 71).coeffs
+        assert s[2] == 1
+        assert s[1] == 0
+        assert s[70] == 1  # 12*70 + 1 = 29^2
 
     @given(st.integers(1, 3000))
     def test_pent_type_matches_search(self, n):
-        assert ptt_mod2_series(1, 3001).coeff(n) == pent_type_by_search(n)
+        assert ptt_mod2_series(1, 3001).coeffs[n] == pent_type_by_search(n)
 
     def test_square_3n1_examples(self):
-        s = ptt_mod2_series(3, 17)
-        assert s.coeff(5) == 1
-        assert s.coeff(2) == 0
-        assert s.coeff(16) == 1  # 3*16 + 1 = 7^2
+        s = ptt_mod2_series(3, 17).coeffs
+        assert s[5] == 1
+        assert s[2] == 0
+        assert s[16] == 1  # 3*16 + 1 = 7^2
 
 
 class TestLegendre:
@@ -232,8 +232,8 @@ class TestCharacterizations:
     def test_p11_small_window(self):
         report = verify_characterization("p11", 5)
         assert report.passed
-        s = ptt_mod2_series(1, 5)
-        assert [n for n in range(1, 5) if s.coeff(n)] == [2, 4]
+        s = ptt_mod2_series(1, 5).coeffs
+        assert [n for n in range(1, 5) if s[n]] == [2, 4]
 
     def test_both_at_moderate_bound(self):
         assert verify_characterization("p11", 3000).passed
@@ -292,8 +292,8 @@ class TestCrankRank:
         crank_count, mex11_count, rank_count, mex33_count = map(list, zip(*tallies))
         assert crank_count == mex11_count
         assert rank_count == mex33_count
-        assert mex11_count[1:] == list(ptt_series(1, 201).coeffs[1:])
-        assert mex33_count[1:] == list(ptt_series(3, 201).coeffs[1:])
+        assert mex11_count[1:] == list(ptt_series(1, 201)[1:])
+        assert mex33_count[1:] == list(ptt_series(3, 201)[1:])
 
     def test_ceiling_enforced(self):
         # a huge bound must fail at the ceiling, before any table
@@ -414,7 +414,7 @@ class TestProgressionFamilies:
     def test_theorem6_spot_value(self):
         # t=7, residue 9: the n=9 coefficient must be even
         s = ptt_mod2_series(7, 20)
-        assert s.coeff(9) == 0
+        assert s.digits[9] == "0"
         assert p_direct(MexSpec(7, 7), 9) % 2 == 0
 
     def test_tcore_congruences_small(self):
@@ -454,7 +454,7 @@ class TestSweepContract:
         # took about 53 MB; the merge stops at the first mismatch, index 3,
         # and holds little beyond the 1 MB digit string
         order = 10**6
-        dense = TruncatedSeries([int(n % 3 != 1) for n in range(order)], MOD2)
+        dense = gf2_series("101" * (order // 3) + "1")
         monkeypatch.setattr(verify, "ptt_mod2_series", lambda t, bound: dense)
         tracemalloc.start()
         try:
@@ -561,11 +561,11 @@ class TestSweepContract:
         # _sweep over one family against an oracle that reads coefficient by
         # coefficient; the modulus is drawn from 1..40 or above the order,
         # where no class repeats
-        s = TruncatedSeries._make(data.draw(st.integers(0, 2**order - 1)), order, MOD2)
+        s = TruncatedSeries(data.draw(st.integers(0, 2**order - 1)), order)
         modulus = data.draw(st.one_of(st.integers(1, 40), st.integers(order + 1, 2 * order + 1)))
         residues = data.draw(st.sets(st.integers(0, modulus - 1), min_size=1))
         want = next(
-            (n for n in range(1, order) if n % modulus in residues and s.coeff(n) == 1), None
+            (n for n in range(1, order) if n % modulus in residues and s.bits >> n & 1), None
         )
         report = verify._sweep("family", "indices < order", [(s.digits, modulus, sorted(residues), "")])
         assert report.counterexample == want
@@ -711,11 +711,11 @@ class TestIdentitySuites:
         order, index, delta = bump
 
         def bumped(n):
-            c = list(closed_form(n).coeffs)
+            c = list(closed_form(n))
             c[index] += delta
-            return TruncatedSeries(c)
+            return tuple(c)
 
-        closed = bumped(order).coeffs
+        closed = bumped(order)
         product = dict(zip(IDENTITY_FORMS, literal_products()))[closed_form]
         n = next(i for i in range(order) if closed[i] != product[i])
         with pytest.MonkeyPatch.context() as patch:
@@ -738,9 +738,9 @@ class TestIdentitySuites:
     )
     def test_planted_error_is_reported(self, monkeypatch, closed_form, theorem_id, index, want):
         def wrong(order):
-            c = list(closed_form(order).coeffs)
+            c = list(closed_form(order))
             c[index] += 1
-            return TruncatedSeries(c)
+            return tuple(c)
 
         monkeypatch.setattr(verify, closed_form.__name__, wrong)
         reports = {r.theorem_id: r for r in verify_series_identities(40)}
